@@ -83,6 +83,31 @@ fn typo_flag_is_reported() {
 }
 
 #[test]
+fn removed_engine_flag_is_rejected() {
+    // The round engine is no longer selectable: the old flag must fail as
+    // unknown rather than be silently ignored.
+    let out = bin()
+        .args([
+            "run",
+            "--scenario",
+            "tiny",
+            "--edges",
+            "3",
+            "--clients",
+            "2",
+            "--rounds",
+            "2",
+            "--engine",
+            "barrier",
+        ])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag(s): --engine"), "{err}");
+}
+
+#[test]
 fn data_subcommand_reports_skew() {
     let out = bin()
         .args([

@@ -1,21 +1,23 @@
 //! Per-run membership-churn controller for the hierarchical run loops.
 //!
 //! Wraps the simulator's [`ActiveTopology`] (the membership state machine,
-//! `hm_simnet::churn`) together with the run-side consequences the ISSUE's
-//! re-homing policy demands: minting deterministic data shards for clients
-//! that join mid-run, keeping the [`ClientRoster`] the execution engines
-//! enumerate in sync with the membership, re-projecting the fairness
+//! `hm_simnet::churn`) together with the run-side consequences of the
+//! re-homing policy: minting deterministic data shards for clients
+//! that join mid-run, keeping the [`ClientRoster`] the round engine
+//! enumerates in sync with the membership, re-projecting the fairness
 //! weights `p` onto the simplex over surviving edges after a permanent
 //! edge failure, and emitting the `ChurnRound` trace event plus the
 //! unsequenced `churn`/`rehome` telemetry records the conformance
 //! automaton and report tooling consume.
 //!
 //! An inert plan ([`ChurnPlan::is_none`]) makes the controller a zero-cost
-//! no-op: no RNG draws, no events, `roster()` returns `None` so the
-//! engines take the frozen legacy enumeration — bit-identical to pre-churn
+//! no-op: no RNG draws, no events, no snapshot section, and `roster()`
+//! stays the static topology enumeration — bit-identical to pre-churn
 //! builds.
 
 use super::hier_common::{ClientRoster, QuarantineCtl};
+use super::RunError;
+use crate::checkpoint::CHURN_SECTION;
 use crate::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
@@ -27,7 +29,7 @@ use hm_telemetry::{Telemetry, TelemetryEvent};
 /// resample (with replacement) of its home edge's training pool, the same
 /// size as the edge's original per-client shards, drawn from the keyed
 /// `Purpose::ChurnData` stream so the shard is a pure function of
-/// `(seed, gid)` — identical across executors, engines, and resume
+/// `(seed, gid)` — identical across executors and resume
 /// splices.
 fn mint_shard(problem: &FederatedProblem, seed: u64, gid: usize, edge: usize) -> Dataset {
     let pool = problem.scenario.edges[edge].train_concat();
@@ -56,30 +58,26 @@ impl ChurnCtl {
     pub(crate) fn new(problem: &FederatedProblem, plan: &ChurnPlan, seed: u64) -> Self {
         plan.validate()
             .unwrap_or_else(|e| panic!("invalid churn plan: {e}"));
-        let topo = ActiveTopology::new(&problem.topology());
-        let members = (0..topo.num_edges())
-            .map(|e| topo.members_of(e).to_vec())
-            .collect();
+        let topology = problem.topology();
         Self {
             plan: *plan,
             seed,
-            topo,
-            roster: ClientRoster::new(members),
+            topo: ActiveTopology::new(&topology),
+            roster: ClientRoster::of_topology(&topology),
             stats: ChurnStats::default(),
             joined_src: Vec::new(),
         }
     }
 
-    /// Whether the plan has any non-zero rate. Inactive controllers do
-    /// nothing and route the engines onto the legacy layout.
-    pub(crate) fn active(&self) -> bool {
+    /// Whether the plan has any non-zero rate. Inactive controllers never
+    /// change the membership.
+    fn active(&self) -> bool {
         !self.plan.is_none()
     }
 
-    /// The roster the execution engines should enumerate: `Some` only
-    /// when churn is active, so churn-off runs stay on the frozen path.
-    pub(crate) fn roster(&self) -> Option<&ClientRoster> {
-        self.active().then_some(&self.roster)
+    /// The current client membership the edge blocks enumerate.
+    pub(crate) fn roster(&self) -> &ClientRoster {
+        &self.roster
     }
 
     /// Cumulative transition counters.
@@ -96,11 +94,6 @@ impl ChurnCtl {
     #[cfg(test)]
     pub(crate) fn id_bound(&self) -> usize {
         self.topo.id_bound()
-    }
-
-    /// Active members of `edge` (empty for a failed, drained edge).
-    pub(crate) fn members_of(&self, edge: usize) -> &[usize] {
-        self.roster.members_of(edge)
     }
 
     /// Apply one round of churn at the round boundary (before Phase-1
@@ -169,21 +162,15 @@ impl ChurnCtl {
         }
     }
 
-    /// Training data of an active client by global id (original shard or
-    /// minted joiner shard).
-    pub(crate) fn data<'a>(
-        &'a self,
-        problem: &'a FederatedProblem,
-        gid: usize,
-    ) -> &'a Dataset {
-        self.roster.data(problem, gid)
-    }
-
-    /// Serialise the controller state (plus the run loop's consecutive
-    /// stale-round counter) for the snapshot's `CHURN_SECTION`.
-    pub(crate) fn checkpoint_bytes(&self, stale_rounds: u64) -> Vec<u8> {
+    /// The snapshot's `CHURN_SECTION`: the controller state plus the run
+    /// loop's consecutive stale-round counter. `None` when churn is off,
+    /// so churn-off snapshots carry no churn section.
+    pub(crate) fn snapshot_extra(&self, stale_rounds: u64) -> Option<(String, Vec<u8>)> {
+        if !self.active() {
+            return None;
+        }
         let (base_total, edge_up, members, next_join_id) = self.topo.parts();
-        crate::checkpoint::encode_churn(
+        let bytes = crate::checkpoint::encode_churn(
             base_total,
             edge_up,
             members,
@@ -191,15 +178,28 @@ impl ChurnCtl {
             &self.stats,
             &self.joined_src,
             stale_rounds,
-        )
+        );
+        Some((CHURN_SECTION.to_string(), bytes))
     }
 
-    /// Restore from a snapshot's `CHURN_SECTION`, re-minting every joiner
-    /// shard from its keyed stream. Returns the persisted stale-round
-    /// counter.
-    pub(crate) fn restore(&mut self, problem: &FederatedProblem, bytes: &[u8]) -> u64 {
-        let snap = crate::checkpoint::decode_churn(bytes)
-            .unwrap_or_else(|e| panic!("cannot resume: {e}"));
+    /// Restore from a snapshot's `CHURN_SECTION` (`section`, if the
+    /// snapshot has one), re-minting every joiner shard from its keyed
+    /// stream. Returns the persisted stale-round counter; a no-op returning
+    /// 0 when churn is off. A churn run whose snapshot lacks the section,
+    /// or holds an undecodable one, is a [`RunError::Resume`].
+    pub(crate) fn restore(
+        &mut self,
+        problem: &FederatedProblem,
+        section: Option<&[u8]>,
+    ) -> Result<u64, RunError> {
+        if !self.active() {
+            return Ok(0);
+        }
+        let bytes = section.ok_or_else(|| {
+            RunError::Resume(format!("churn run snapshot has no {CHURN_SECTION} section"))
+        })?;
+        let snap =
+            crate::checkpoint::decode_churn(bytes).map_err(|e| RunError::Resume(e.to_string()))?;
         self.topo = ActiveTopology::from_parts(
             snap.base_total,
             snap.edge_up,
@@ -214,7 +214,7 @@ impl ChurnCtl {
         let (_, _, members, _) = self.topo.parts();
         self.roster.sync_members(members);
         self.stats = snap.stats;
-        snap.stale_rounds
+        Ok(snap.stale_rounds)
     }
 }
 
@@ -233,7 +233,8 @@ mod tests {
         let fp = problem();
         let mut ctl = ChurnCtl::new(&fp, &NO_CHURN, 7);
         assert!(!ctl.active());
-        assert!(ctl.roster().is_none());
+        // The roster is the static topology enumeration.
+        assert_eq!(ctl.roster().members_of(1), &[2, 3]);
         let mut p = vec![0.5, 0.25, 0.25];
         let mut q = QuarantineCtl::new(0.0, 0, 6);
         let rc = ctl.begin_round(
@@ -247,6 +248,9 @@ mod tests {
         assert!(rc.is_empty());
         assert_eq!(p, vec![0.5, 0.25, 0.25]);
         assert_eq!(ctl.stats(), ChurnStats::default());
+        // No snapshot section is written, and none is needed to resume.
+        assert!(ctl.snapshot_extra(0).is_none());
+        assert_eq!(ctl.restore(&fp, None), Ok(0));
     }
 
     #[test]
@@ -315,9 +319,9 @@ mod tests {
         assert_eq!(up.len(), 1);
         // All the mass sat on edges that died.
         let mut p = vec![0.0_f32; 3];
-        for e in 0..3 {
+        for (e, pe) in p.iter_mut().enumerate() {
             if !up.contains(&e) {
-                p[e] = 0.5;
+                *pe = 0.5;
             }
         }
         ctl.reproject_weights(&mut p);
@@ -342,9 +346,15 @@ mod tests {
                 &Telemetry::disabled(),
             );
         }
-        let bytes = ctl.checkpoint_bytes(2);
+        let (name, bytes) = ctl.snapshot_extra(2).unwrap();
+        assert_eq!(name, CHURN_SECTION);
         let mut fresh = ChurnCtl::new(&fp, &plan, 13);
-        let stale = fresh.restore(&fp, &bytes);
+        assert!(matches!(fresh.restore(&fp, None), Err(RunError::Resume(_))));
+        assert!(matches!(
+            fresh.restore(&fp, Some(&bytes[..3])),
+            Err(RunError::Resume(_))
+        ));
+        let stale = fresh.restore(&fp, Some(&bytes)).unwrap();
         assert_eq!(stale, 2);
         assert_eq!(fresh.stats(), ctl.stats());
         assert_eq!(fresh.up_edges(), ctl.up_edges());

@@ -2,49 +2,41 @@
 //! HierFAVG): the `ModelUpdate` procedure — `τ2` client-edge aggregation
 //! blocks of `τ1` local SGD steps each — with optional checkpoint capture.
 //!
-//! Two execution engines produce bit-identical results (asserted by
-//! `tests/determinism.rs`):
+//! One execution engine runs it: one parallel task **per edge** runs that
+//! edge's `τ2` blocks sequentially with its clients inside, so a round
+//! costs a single fork/join instead of one global join per block. Client
+//! training reuses thread-local scratch ([`hm_nn::with_scratch`]),
+//! fault/metering decisions are hoisted into a sequential prepass (keyed
+//! fault streams make them independent of execution order), and
+//! trace/telemetry events are replayed after the join in protocol order.
 //!
-//! - [`ExecEngine::Chained`] (default) — one parallel task **per edge**
-//!   runs that edge's `τ2` blocks sequentially with its clients fanned
-//!   out inside, so a round costs a single fork/join instead of `τ2` of
-//!   them. Client training reuses thread-local scratch
-//!   ([`hm_nn::with_scratch`]), fault/metering decisions are hoisted into
-//!   a sequential prepass (keyed fault streams make them independent of
-//!   execution order), and trace/telemetry events are replayed after the
-//!   join in the exact legacy order.
-//! - [`ExecEngine::Barrier`] — the pre-chain engine, kept as the frozen
-//!   reference: a global fork/join per block with per-call workspace
-//!   allocation. Benchmarks (`hm-bench`, `results/BENCH_roundtime.json`)
-//!   measure the chained engine against this baseline.
-//!
-//! Bit-identity holds because every reduction runs in the same slot order
-//! in both engines (DESIGN.md §7), the per-client RNG streams are keyed by
-//! `(seed, purpose, block, client)` rather than execution order, and the
-//! straggler-slot accumulator is fed per block in `t2` order by both
-//! engines.
+//! Results are bit-identical across `Parallelism::{Sequential, Rayon}`
+//! (`tests/determinism.rs`) because every reduction runs in slot order
+//! (DESIGN.md §7), the per-client RNG streams are keyed by `(seed,
+//! purpose, block, client)` rather than execution order, and the
+//! straggler-slot accumulator is fed per block in `t2` order. The
+//! reference for what the engine computes is the naive round in
+//! `hm-testkit`'s oracle (`tests/oracle_diff.rs`), which covers faults,
+//! Byzantine uploads and the robust aggregators.
 
-use crate::localsgd::{local_sgd_fresh, local_sgd_into};
+use super::RunError;
+use crate::localsgd::local_sgd_into;
 use crate::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
-use std::collections::HashMap;
 use hm_simnet::trace::{Event, Trace};
 use hm_simnet::{
-    CommMeter, ExecEngine, FaultInjector, Link, Parallelism, Quantizer, StragglerFate,
+    CommMeter, FaultInjector, Link, Parallelism, Quantizer, QuarantineStats, StragglerFate,
+    Topology,
 };
 use hm_telemetry::{Phase, Profiler, Telemetry, TelemetryEvent};
 use hm_tensor::{vecops, Aggregator};
+use std::collections::HashMap;
 
-/// A client's block output: the updated model and, in the checkpoint
-/// block, the checkpoint snapshot.
-type ClientBlockResult = (Vec<f32>, Option<Vec<f32>>);
-
-/// Live client membership for churn-enabled runs: which global client ids
-/// each edge currently serves, plus the data shards minted for mid-run
-/// joiners. `None` in [`EdgeBlockParams::roster`] means the frozen
-/// topology enumeration (`gid = edge·n₀ + idx`) — the bit-exact legacy
-/// layout every churn-off run takes.
+/// Client membership: which global client ids each edge currently serves,
+/// plus the data shards minted for mid-run joiners. Without churn the
+/// roster is static and enumerates the topology (`gid = edge·n₀ + idx`);
+/// membership churn edits it between rounds.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ClientRoster {
     /// `members[edge]` — active global client ids, in deterministic
@@ -57,9 +49,13 @@ pub(crate) struct ClientRoster {
 }
 
 impl ClientRoster {
-    pub(crate) fn new(members: Vec<Vec<usize>>) -> Self {
+    /// The static roster of a topology: every edge serves its original
+    /// clients in id order.
+    pub(crate) fn of_topology(topo: &Topology) -> Self {
         Self {
-            members,
+            members: (0..topo.num_edges())
+                .map(|e| topo.clients_of(e).collect())
+                .collect(),
             joined: HashMap::new(),
         }
     }
@@ -98,10 +94,9 @@ impl ClientRoster {
 
 /// Flattened client-slot layout of one round: for each participating edge
 /// `ei`, the global ids of its current members, contiguous in `gids` at
-/// `offsets[ei]..offsets[ei+1]`. With no roster this is exactly the legacy
-/// uniform layout (`offsets[ei] = ei·n₀`, `gids[slot] = client_id(edge,
-/// slot % n₀)`), so every index computed from it — and therefore every
-/// draw, fold, and meter total — is bit-identical to pre-churn builds.
+/// `offsets[ei]..offsets[ei+1]`. With a static roster this is the uniform
+/// layout (`offsets[ei] = ei·n₀`, `gids[slot] = client_id(edge, slot %
+/// n₀)`).
 struct SlotMap {
     gids: Vec<usize>,
     offsets: Vec<usize>,
@@ -109,15 +104,11 @@ struct SlotMap {
 
 impl SlotMap {
     fn build(p: &EdgeBlockParams<'_>) -> Self {
-        let topo = p.problem.topology();
         let mut gids = Vec::new();
         let mut offsets = Vec::with_capacity(p.edges.len() + 1);
         offsets.push(0);
         for &e in p.edges {
-            match p.roster {
-                Some(r) => gids.extend_from_slice(r.members_of(e)),
-                None => gids.extend(topo.clients_of(e)),
-            }
+            gids.extend_from_slice(p.roster.members_of(e));
             offsets.push(gids.len());
         }
         Self { gids, offsets }
@@ -136,17 +127,6 @@ impl SlotMap {
     /// Member count of participating edge `ei`.
     fn len_of(&self, ei: usize) -> usize {
         self.offsets[ei + 1] - self.offsets[ei]
-    }
-}
-
-/// Training shard of the client in a slot (see [`ClientRoster::data`]).
-fn data_of<'a>(p: &EdgeBlockParams<'a>, gid: usize) -> &'a Dataset {
-    match p.roster {
-        Some(r) => r.data(p.problem, gid),
-        None => {
-            let n0 = p.problem.clients_per_edge();
-            p.problem.client_data(gid / n0, gid % n0)
-        }
     }
 }
 
@@ -208,16 +188,12 @@ pub(crate) struct EdgeBlockParams<'a> {
     pub seed: u64,
     pub meter: &'a CommMeter,
     pub par: Parallelism,
-    /// Round scheduling strategy (see module docs). Both engines are
-    /// bit-identical; `Barrier` exists as the benchmark baseline and as a
-    /// cross-check in the determinism suite.
-    pub engine: ExecEngine,
     pub trace: &'a Trace,
     pub telemetry: &'a Telemetry,
     /// Span profiler. Per-edge chain durations are measured inside the
     /// workers (wall-clock only — never consulted by the computation) and
     /// recorded after the join, in edge order, so profiled span streams
-    /// are identical in shape across engines and parallelism modes.
+    /// are identical in shape across parallelism modes.
     pub profile: &'a Profiler,
     /// Client→edge reduction rule. [`Aggregator::Mean`] is the frozen
     /// reference path (bit-identical to the historical
@@ -233,24 +209,21 @@ pub(crate) struct EdgeBlockParams<'a> {
     /// Off by default — norm tracking costs one `dist2_sq` per surviving
     /// upload but never perturbs the trained bits.
     pub track_norms: bool,
-    /// Live membership for churn-enabled runs. `None` (every churn-off
-    /// run) enumerates the frozen topology — the bit-exact legacy layout.
-    pub roster: Option<&'a ClientRoster>,
+    /// Client membership the blocks enumerate (static without churn).
+    pub roster: &'a ClientRoster,
 }
 
 /// Per-round fault and survivor schedule, computed before any client work.
 ///
 /// The fault oracle draws from keyed streams, so its decisions depend only
 /// on `(block, level, client)` — hoisting them out of the parallel region
-/// changes nothing about the outcome but lets the chained engine run whole
-/// edges without synchronising, and lets communication be metered in
-/// closed form. Oracle queries and the straggler-slot accumulator are
-/// driven in the same `(t2, slot)` order the barrier engine uses, so
-/// fault statistics stay bit-identical.
+/// changes nothing about the outcome but lets the engine run whole edges
+/// without synchronising, and lets communication be metered in closed
+/// form. Oracle queries and the straggler-slot accumulator are driven in
+/// `(t2, slot)` order, so fault statistics do not depend on the executor.
 struct RoundSchedule {
     /// `alive[t2 * n_slots + slot]` — does that slot's upload survive
-    /// block `t2`? (With no roster, `slot = ei·n₀ + c`, the legacy flat
-    /// layout.)
+    /// block `t2`? (With a static roster, `slot = ei·n₀ + c`.)
     alive: Vec<bool>,
     /// `corrupt[t2 * n_slots + slot]` — is that surviving upload
     /// Byzantine-corrupted? (Same indexing; always `false` for dead
@@ -332,8 +305,7 @@ fn quarantine_excludes(quarantined: &[u64], client: usize, round: usize) -> bool
 /// Meter the whole round's client-edge traffic in closed form: one
 /// broadcast to every client per block, one upload per surviving client
 /// per block (doubled in the checkpoint block, whose model is piggybacked
-/// on the gather), and `τ2` synchronisation rounds. Byte-for-byte the
-/// same totals as the barrier engine's per-block calls, in a handful of
+/// on the gather), and `τ2` synchronisation rounds, in a handful of
 /// atomic updates.
 fn meter_round(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSchedule) {
     let d = p.problem.num_params() as u64;
@@ -357,8 +329,8 @@ fn meter_round(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSchedul
     }
 }
 
-/// Replay the round's protocol events after the parallel join, in the
-/// exact order the barrier engine emits them while running: per block,
+/// Replay the round's protocol events after the parallel join, in
+/// protocol order: per block,
 /// `LocalSteps` for every survivor in slot order, then per edge (with at
 /// least one survivor) the checkpoint capture, the aggregation event, and
 /// the telemetry record.
@@ -407,29 +379,23 @@ fn replay_events(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSched
     }
 }
 
-/// Run `τ2` client-edge aggregation blocks on each participating edge.
-///
-/// All clients of all participating edges execute a block concurrently
-/// (they are mutually independent); blocks are sequential, as the protocol
-/// requires. Communication is metered on the `ClientEdge` link: one
-/// broadcast + one gather + one round per block, with the checkpoint model
-/// piggybacked on the gather of block `c2` (doubling that block's uplink
-/// payload, as in the paper where clients "send along" the checkpoint).
-pub(crate) fn run_edge_blocks(p: EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
-    match p.engine {
-        ExecEngine::Chained => run_edge_blocks_chained(&p),
-        ExecEngine::Barrier => run_edge_blocks_barrier(&p),
-    }
-}
-
 /// Per-edge chain result: final edge model, checkpoint model, per-client
 /// `(summed update norm, block count)` samples for the quarantine pass,
 /// and the chain's wall-clock seconds for the profiler.
 type ChainOutput = (Vec<f32>, Option<Vec<f32>>, Vec<(f64, u32)>, f64);
 
-/// The chained engine: fault schedule and metering up front, then one
-/// task per edge running all `τ2` blocks back to back, then event replay.
-fn run_edge_blocks_chained(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
+/// Run `τ2` client-edge aggregation blocks on each participating edge.
+///
+/// The fault schedule and the metering are computed up front; then one
+/// task per edge runs all `τ2` blocks back to back (blocks are sequential,
+/// as the protocol requires; edges are mutually independent); then the
+/// protocol events are replayed. Communication is metered on the
+/// `ClientEdge` link: one broadcast + one gather + one round per block,
+/// with the checkpoint model piggybacked on the gather of block `c2`
+/// (doubling that block's uplink payload, as in the paper where clients
+/// "send along" the checkpoint).
+pub(crate) fn run_edge_blocks(p: EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
+    let p = &p;
     let ne = p.edges.len();
     let slots = SlotMap::build(p);
     let schedule = compute_schedule(p, &slots);
@@ -481,7 +447,7 @@ fn run_edge_blocks_chained(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
                         ));
                         let mut cp_out = local_sgd_into(
                             &*p.problem.model,
-                            data_of(p, client),
+                            p.roster.data(p.problem, client),
                             &model,
                             &mut client_w[c],
                             p.tau1,
@@ -591,7 +557,7 @@ fn run_edge_blocks_chained(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
         .collect()
 }
 
-/// Checkpoint fallback shared by both engines: if every client of an edge
+/// Checkpoint fallback: if every client of an edge
 /// dropped during the checkpoint block, fall back to the edge's final
 /// model so Phase 2 still has an estimate to evaluate (slightly biased,
 /// but only in a failure corner the paper's protocol does not define).
@@ -612,237 +578,6 @@ fn finish_edge(
         checkpoint,
         client_norms,
     }
-}
-
-/// The barrier engine: the pre-chain scheduler, frozen as the reference
-/// implementation the chained engine is benchmarked and cross-checked
-/// against. One global fork/join per block, per-call training scratch
-/// ([`local_sgd_fresh`]), per-block result and survivor vectors.
-fn run_edge_blocks_barrier(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
-    let d = p.problem.num_params() as u64;
-    let slots = SlotMap::build(p);
-    let n_slots = slots.n_slots();
-    let mut edge_models: Vec<Vec<f32>> = p.edges.iter().map(|_| p.w_start.to_vec()).collect();
-    let mut edge_checkpoints: Vec<Option<Vec<f32>>> = vec![None; p.edges.len()];
-    // Per-edge accumulated work time across blocks (client tasks + the
-    // edge's aggregation fold), so the barrier engine emits the same
-    // one-span-per-edge stream as the chained engine's whole-chain timer.
-    let mut chain_s = vec![0.0_f64; p.edges.len()];
-    // Robust-aggregation workspace and quarantine observables, mirroring
-    // the chained engine (flat slot-map norm slots here).
-    let needs_base = p.aggregator.needs_base();
-    let mut agg_scratch: Vec<f32> = Vec::new();
-    let mut base_buf: Vec<f32> = Vec::new();
-    let mut norms: Vec<(f64, u32)> = if p.track_norms {
-        vec![(0.0, 0); n_slots]
-    } else {
-        Vec::new()
-    };
-
-    for t2 in 0..p.tau2 {
-        let is_cp_block = p.checkpoint.map(|(_, c2)| c2 == t2).unwrap_or(false);
-        let cp_after = p.checkpoint.and_then(|(c1, c2)| (c2 == t2).then_some(c1));
-        let block_tag = (p.round * p.tau2 + t2) as u64;
-        let mut max_slow = 1.0_f64;
-        let mut corrupt = vec![false; n_slots];
-        let alive: Vec<bool> = (0..n_slots)
-            .map(|slot| {
-                let client = slots.gids[slot];
-                let a = if quarantine_excludes(p.quarantined, client, p.round) {
-                    p.fault.add_excluded(1);
-                    false
-                } else if !p.fault.client_alive(block_tag, p.level, client) {
-                    false
-                } else {
-                    match p.fault.straggler(block_tag, p.level, client) {
-                        StragglerFate::Missed => false,
-                        StragglerFate::Slow(s) => {
-                            max_slow = max_slow.max(s);
-                            true
-                        }
-                        StragglerFate::OnTime => true,
-                    }
-                };
-                corrupt[slot] = a && p.fault.client_corrupt(block_tag, p.level, client);
-                a
-            })
-            .collect();
-        if max_slow > 1.0 {
-            p.fault
-                .add_straggler_slots((max_slow - 1.0) * p.tau1 as f64);
-        }
-        // Edge broadcasts its block-start model to its clients.
-        p.meter
-            .record_broadcast(Link::ClientEdge, d, n_slots as u64);
-
-        // All (edge, client) pairs run τ1 local steps concurrently, with a
-        // full join before the edge aggregations. Tasks carry the flat
-        // slot index; the owning edge is recovered from the slot map.
-        let tasks: Vec<(usize, usize)> = (0..p.edges.len())
-            .flat_map(|ei| slots.range(ei).map(move |slot| (ei, slot)))
-            .filter(|&(_, slot)| alive[slot])
-            .collect();
-        let results_alive: Vec<(Vec<f32>, Option<Vec<f32>>, f64)> = {
-            let edge_models = &edge_models;
-            let corrupt = &corrupt;
-            let slots = &slots;
-            p.par.map_ref(&tasks, |&(ei, slot)| {
-                let task_timer = p.profile.start();
-                let client = slots.gids[slot];
-                let mut rng = StreamRng::for_key(StreamKey::new(
-                    p.seed,
-                    Purpose::Batch,
-                    (p.round * p.tau2 + t2) as u64,
-                    client as u64,
-                ));
-                let (mut w_out, mut cp_out) = local_sgd_fresh(
-                    &*p.problem.model,
-                    data_of(p, client),
-                    &edge_models[ei],
-                    p.tau1,
-                    p.eta_w,
-                    p.batch_size,
-                    &p.problem.w_domain,
-                    &mut rng,
-                    cp_after,
-                );
-                if corrupt[slot] {
-                    let base = &edge_models[ei];
-                    p.fault
-                        .corrupt_update(block_tag, p.level, client, base, &mut w_out);
-                    if let Some(cp) = cp_out.as_mut() {
-                        p.fault.corrupt_update(block_tag, p.level, client, base, cp);
-                    }
-                }
-                if p.quantizer != Quantizer::Exact {
-                    let mut qrng = StreamRng::for_key(StreamKey::new(
-                        p.seed,
-                        Purpose::Quantize,
-                        (p.round * p.tau2 + t2) as u64,
-                        client as u64,
-                    ));
-                    let base = &edge_models[ei];
-                    quantize_delta(&p.quantizer, base, &mut w_out, &mut qrng);
-                    if let Some(cp) = cp_out.as_mut() {
-                        quantize_delta(&p.quantizer, base, cp, &mut qrng);
-                    }
-                }
-                (w_out, cp_out, task_timer.elapsed_s())
-            })
-        };
-        // Scatter results back to their slots; dropped slots None.
-        let mut results: Vec<Option<ClientBlockResult>> = (0..n_slots).map(|_| None).collect();
-        for (&(ei, slot), (w_out, cp_out, secs)) in tasks.iter().zip(results_alive) {
-            p.trace.record(|| Event::LocalSteps {
-                round: p.round,
-                t2,
-                edge: p.edges[ei],
-                client: slots.gids[slot],
-                steps: p.tau1,
-            });
-            chain_s[ei] += secs;
-            if p.track_norms {
-                let entry = &mut norms[slot];
-                entry.0 += vecops::dist2_sq(&w_out, &edge_models[ei]).sqrt();
-                entry.1 += 1;
-            }
-            results[slot] = Some((w_out, cp_out));
-        }
-
-        // Surviving clients upload their (possibly quantized) models, plus
-        // the checkpoint in block c2.
-        let unit = p.quantizer.wire_floats(d as usize);
-        let floats_up = if is_cp_block { 2 * unit } else { unit };
-        let survivors = alive.iter().filter(|&&a| a).count() as u64;
-        p.meter
-            .record_gather(Link::ClientEdge, floats_up, survivors);
-        if p.record_rounds {
-            p.meter.record_round(Link::ClientEdge);
-        }
-
-        // Edge-side aggregation over survivors (deterministic order:
-        // clients are indexed). The aggregator's Mean arm is the
-        // historical `average_present_into` fold over the result slots —
-        // bit-identical to the frozen `average_into(compacted)` reference
-        // (asserted in `hm_tensor::vecops` tests).
-        for (ei, model) in edge_models.iter_mut().enumerate() {
-            let agg_timer = p.profile.start();
-            let edge_results = &results[slots.range(ei)];
-            // An edge with no surviving clients keeps its block-start
-            // model (and captures no checkpoint from this block).
-            if edge_results.iter().any(|s| s.is_some()) {
-                if needs_base {
-                    base_buf.clone_from(model);
-                }
-                let survivors = p.aggregator.aggregate_present_into(
-                    edge_results,
-                    |s| s.as_ref().map(|(w, _)| w.as_slice()),
-                    needs_base.then_some(base_buf.as_slice()),
-                    &mut agg_scratch,
-                    model,
-                );
-                if is_cp_block {
-                    let mut cp = vec![0.0_f32; model.len()];
-                    let got = p.aggregator.aggregate_present_into(
-                        edge_results,
-                        |s| {
-                            s.as_ref().map(|(_, cp)| {
-                                cp.as_deref()
-                                    .expect("checkpoint block must return checkpoints")
-                            })
-                        },
-                        needs_base.then_some(base_buf.as_slice()),
-                        &mut agg_scratch,
-                        &mut cp,
-                    );
-                    assert_eq!(got, survivors, "checkpoint block must return checkpoints");
-                    edge_checkpoints[ei] = Some(cp);
-                    p.trace.record(|| Event::CheckpointCaptured {
-                        round: p.round,
-                        edge: p.edges[ei],
-                        t2,
-                    });
-                }
-                p.trace.record(|| Event::ClientEdgeAggregation {
-                    round: p.round,
-                    edge: p.edges[ei],
-                    t2,
-                });
-                p.telemetry.record(|| TelemetryEvent::BlockAggregated {
-                    round: p.round,
-                    edge: p.edges[ei],
-                    t2,
-                    survivors,
-                });
-            }
-            chain_s[ei] += agg_timer.elapsed_s();
-        }
-    }
-
-    for (ei, &edge) in p.edges.iter().enumerate() {
-        p.profile.record_secs(
-            p.telemetry,
-            Phase::LocalSgdChain,
-            Some(p.round),
-            Some(edge),
-            chain_s[ei],
-        );
-    }
-
-    p.edges
-        .iter()
-        .enumerate()
-        .zip(edge_models)
-        .zip(edge_checkpoints)
-        .map(|(((ei, &edge), w_final), checkpoint)| {
-            let client_norms = if p.track_norms {
-                norms[slots.range(ei)].to_vec()
-            } else {
-                Vec::new()
-            };
-            finish_edge(p, edge, w_final, checkpoint, client_norms)
-        })
-        .collect()
 }
 
 /// Quantize `v` as a delta against `base` (which the receiver already
@@ -957,25 +692,16 @@ impl QuarantineCtl {
     }
 
     /// Fold one `run_edge_blocks` output batch into this round's
-    /// observations. With a roster (churn active), per-edge norm slots map
-    /// to the edge's current members; otherwise to the frozen topology.
-    pub(crate) fn observe(
-        &mut self,
-        problem: &FederatedProblem,
-        roster: Option<&ClientRoster>,
-        outputs: &[EdgeBlockOutput],
-    ) {
+    /// observations: per-edge norm slots map to the edge's members in the
+    /// roster the blocks ran with.
+    pub(crate) fn observe(&mut self, roster: &ClientRoster, outputs: &[EdgeBlockOutput]) {
         if !self.active() {
             return;
         }
-        let topo = problem.topology();
         for o in outputs {
             for (c, &(norm, blocks)) in o.client_norms.iter().enumerate() {
                 if blocks > 0 {
-                    let id = match roster {
-                        Some(r) => r.members_of(o.edge)[c],
-                        None => topo.client_id(o.edge, c),
-                    };
+                    let id = roster.members_of(o.edge)[c];
                     self.ensure_clients(id + 1);
                     self.sums[id] += norm;
                     self.blocks[id] += blocks;
@@ -1036,6 +762,24 @@ impl QuarantineCtl {
         newly as usize
     }
 
+    /// Restore the horizon table and the adversary counters from a resume
+    /// snapshot's quarantine section, returning the restored counters
+    /// (zeros when the snapshot has no such section).
+    pub(crate) fn resume(
+        &mut self,
+        snap: &hm_checkpoint::Snapshot,
+        fault: &FaultInjector,
+    ) -> Result<QuarantineStats, RunError> {
+        let Some(bytes) = snap.extra(crate::checkpoint::QUARANTINE_SECTION) else {
+            return Ok(QuarantineStats::default());
+        };
+        let (until, adv) = crate::checkpoint::decode_quarantine(bytes)
+            .map_err(|e| RunError::Resume(e.to_string()))?;
+        self.restore(until);
+        fault.restore_adversary(&adv);
+        Ok(adv)
+    }
+
     /// Raw horizon table for the checkpoint extras section.
     pub(crate) fn state(&self) -> &[u64] {
         &self.until
@@ -1056,6 +800,16 @@ impl QuarantineCtl {
             self.until = until;
         }
     }
+}
+
+/// Reject a config that samples more edges per phase than exist.
+pub(crate) fn check_m_edges(m_edges: usize, n_edges: usize) -> Result<(), RunError> {
+    if m_edges > n_edges {
+        return Err(RunError::InvalidConfig(format!(
+            "m_edges {m_edges} exceeds {n_edges} edges"
+        )));
+    }
+    Ok(())
 }
 
 /// Count multiplicities of a with-replacement sample, returning
@@ -1117,14 +871,13 @@ mod tests {
             seed: 42,
             meter: &meter,
             par: Parallelism::Sequential,
-            engine: ExecEngine::Chained,
             trace: &trace,
             telemetry: &Telemetry::disabled(),
             profile: &Profiler::disabled(),
             aggregator: Aggregator::Mean,
             quarantined: &[],
             track_norms: false,
-            roster: None,
+            roster: &ClientRoster::of_topology(&fp.topology()),
         });
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].edge, 0);
@@ -1178,37 +931,23 @@ mod tests {
             seed: 7,
             meter: &meter,
             par: Parallelism::Sequential,
-            engine: ExecEngine::Chained,
             trace: &trace,
             telemetry: &Telemetry::disabled(),
             profile: &Profiler::disabled(),
             aggregator: Aggregator::Mean,
             quarantined: &[],
             track_norms: false,
-            roster: None,
+            roster: &ClientRoster::of_topology(&fp.topology()),
         });
         assert_eq!(out[0].checkpoint.as_deref(), Some(w0.as_slice()));
     }
 
-    /// Run the same round under a given engine/parallelism pair, returning
-    /// outputs plus the observables both engines must agree on.
+    /// Run one round under a given fault plan and parallelism, returning
+    /// outputs plus the meter totals and the trace.
     fn run_one(
         fp: &FederatedProblem,
         fault: FaultPlan,
-        engine: ExecEngine,
         par: Parallelism,
-        quantizer: Quantizer,
-    ) -> (Vec<EdgeBlockOutput>, hm_simnet::CommStats, Vec<Event>) {
-        run_one_agg(fp, fault, engine, par, quantizer, Aggregator::Mean)
-    }
-
-    fn run_one_agg(
-        fp: &FederatedProblem,
-        fault: FaultPlan,
-        engine: ExecEngine,
-        par: Parallelism,
-        quantizer: Quantizer,
-        aggregator: Aggregator,
     ) -> (Vec<EdgeBlockOutput>, hm_simnet::CommStats, Vec<Event>) {
         let meter = CommMeter::new();
         let trace = Trace::enabled();
@@ -1222,7 +961,7 @@ mod tests {
             eta_w: 0.1,
             batch_size: 2,
             checkpoint: Some((1, 1)),
-            quantizer,
+            quantizer: Quantizer::Exact,
             fault: &fi,
             level: 0,
             record_rounds: true,
@@ -1230,14 +969,13 @@ mod tests {
             seed: 11,
             meter: &meter,
             par,
-            engine,
             trace: &trace,
             telemetry: &Telemetry::disabled(),
             profile: &Profiler::disabled(),
-            aggregator,
+            aggregator: Aggregator::Mean,
             quarantined: &[],
             track_norms: true,
-            roster: None,
+            roster: &ClientRoster::of_topology(&fp.topology()),
         });
         (out, meter.snapshot(), trace.events())
     }
@@ -1246,92 +984,17 @@ mod tests {
     fn parallel_and_sequential_agree() {
         let sc = tiny_problem(3, 3, 9);
         let fp = FederatedProblem::logistic_from_scenario(&sc);
-        for engine in [ExecEngine::Chained, ExecEngine::Barrier] {
-            let (a, am, ae) = run_one(
-                &fp,
-                FaultPlan::default(),
-                engine,
-                Parallelism::Sequential,
-                Quantizer::Exact,
-            );
-            let (b, bm, be) = run_one(
-                &fp,
-                FaultPlan::default(),
-                engine,
-                Parallelism::Rayon,
-                Quantizer::Exact,
-            );
+        for plan in ["none", "chaos"] {
+            let fault = FaultPlan::preset(plan).unwrap();
+            let (a, am, ae) = run_one(&fp, fault.clone(), Parallelism::Sequential);
+            let (b, bm, be) = run_one(&fp, fault, Parallelism::Rayon);
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.w_final, y.w_final);
                 assert_eq!(x.checkpoint, y.checkpoint);
+                assert_eq!(x.client_norms, y.client_norms);
             }
             assert_eq!(am, bm);
             assert_eq!(ae, be);
-        }
-    }
-
-    #[test]
-    fn chained_and_barrier_engines_are_bit_identical() {
-        // The tentpole invariant at the unit level: identical models,
-        // checkpoints, meter totals, and trace event *order* across
-        // engines, under faults and quantization too.
-        let sc = tiny_problem(3, 3, 9);
-        let fp = FederatedProblem::logistic_from_scenario(&sc);
-        let chaotic = FaultPlan::preset("chaos").unwrap();
-        let byzantine = FaultPlan::preset("byzantine").unwrap();
-        for (fault, quantizer, aggregator) in [
-            (FaultPlan::default(), Quantizer::Exact, Aggregator::Mean),
-            (chaotic.clone(), Quantizer::Exact, Aggregator::Mean),
-            (
-                chaotic.clone(),
-                Quantizer::Stochastic { bits: 4 },
-                Aggregator::Mean,
-            ),
-            (
-                byzantine.clone(),
-                Quantizer::Exact,
-                Aggregator::TrimmedMean { beta: 0.25 },
-            ),
-            (
-                byzantine.clone(),
-                Quantizer::Stochastic { bits: 4 },
-                Aggregator::CoordinateMedian,
-            ),
-            (
-                FaultPlan {
-                    attack: hm_simnet::AttackModel::Collude,
-                    ..byzantine
-                },
-                Quantizer::Exact,
-                Aggregator::NormClip { tau: 0.5 },
-            ),
-        ] {
-            for par in [Parallelism::Sequential, Parallelism::Rayon] {
-                let (a, am, ae) = run_one_agg(
-                    &fp,
-                    fault.clone(),
-                    ExecEngine::Chained,
-                    par,
-                    quantizer,
-                    aggregator,
-                );
-                let (b, bm, be) = run_one_agg(
-                    &fp,
-                    fault.clone(),
-                    ExecEngine::Barrier,
-                    par,
-                    quantizer,
-                    aggregator,
-                );
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.edge, y.edge);
-                    assert_eq!(x.w_final, y.w_final);
-                    assert_eq!(x.checkpoint, y.checkpoint);
-                    assert_eq!(x.client_norms, y.client_norms, "norm observables diverged");
-                }
-                assert_eq!(am, bm, "meter totals diverged");
-                assert_eq!(ae, be, "trace event order diverged");
-            }
         }
     }
 
@@ -1345,46 +1008,43 @@ mod tests {
         let mut until = vec![0u64; n_clients];
         let benched = topo.client_id(0, 0);
         until[benched] = 10;
-        for engine in [ExecEngine::Chained, ExecEngine::Barrier] {
-            let meter = CommMeter::new();
-            let trace = Trace::enabled();
-            let fi = FaultInjector::none(5);
-            let out = run_edge_blocks(EdgeBlockParams {
-                problem: &fp,
-                w_start: &vec![0.0; fp.num_params()],
-                edges: &[0, 1],
-                tau1: 1,
-                tau2: 2,
-                eta_w: 0.1,
-                batch_size: 2,
-                checkpoint: None,
-                quantizer: Quantizer::Exact,
-                fault: &fi,
-                level: 0,
-                record_rounds: true,
-                round: 3,
-                seed: 5,
-                meter: &meter,
-                par: Parallelism::Sequential,
-                engine,
-                trace: &trace,
-                telemetry: &Telemetry::disabled(),
-                profile: &Profiler::disabled(),
-                aggregator: Aggregator::Mean,
-                quarantined: &until,
-                track_norms: true,
-                roster: None,
-            });
-            // The benched client never ran (no LocalSteps events) and was
-            // counted once per block.
-            assert!(trace.events().iter().all(|e| !matches!(
-                e,
-                Event::LocalSteps { client, .. } if *client == benched
-            )));
-            assert_eq!(fi.adversary_stats().excluded_uploads, 2);
-            assert_eq!(out[0].client_norms[0], (0.0, 0));
-            assert!(out[0].client_norms[1].1 > 0);
-        }
+        let meter = CommMeter::new();
+        let trace = Trace::enabled();
+        let fi = FaultInjector::none(5);
+        let out = run_edge_blocks(EdgeBlockParams {
+            problem: &fp,
+            w_start: &vec![0.0; fp.num_params()],
+            edges: &[0, 1],
+            tau1: 1,
+            tau2: 2,
+            eta_w: 0.1,
+            batch_size: 2,
+            checkpoint: None,
+            quantizer: Quantizer::Exact,
+            fault: &fi,
+            level: 0,
+            record_rounds: true,
+            round: 3,
+            seed: 5,
+            meter: &meter,
+            par: Parallelism::Sequential,
+            trace: &trace,
+            telemetry: &Telemetry::disabled(),
+            profile: &Profiler::disabled(),
+            aggregator: Aggregator::Mean,
+            quarantined: &until,
+            track_norms: true,
+            roster: &ClientRoster::of_topology(&topo),
+        });
+        // The benched client never ran (no LocalSteps events) and was
+        // counted once per block.
+        assert!(trace.events().iter().all(|e| !matches!(
+            e,
+            Event::LocalSteps { client, .. } if *client == benched
+        )));
+        assert_eq!(fi.adversary_stats().excluded_uploads, 2);
+        assert_eq!(out[0].client_norms[0], (0.0, 0));
+        assert!(out[0].client_norms[1].1 > 0);
     }
 
     #[test]
@@ -1408,7 +1068,7 @@ mod tests {
             mk(1, vec![(0.9, 1), (50.0, 1)]),
             mk(2, vec![(1.0, 1), (1.05, 1)]),
         ];
-        ctl.observe(&fp, None, &outputs);
+        ctl.observe(&ClientRoster::of_topology(&fp.topology()), &outputs);
         let fi = FaultInjector::none(1);
         let newly = ctl.end_round(7, &fi, &Telemetry::disabled());
         assert_eq!(newly, 1);

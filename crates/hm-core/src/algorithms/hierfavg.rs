@@ -8,7 +8,9 @@
 //! client-edge aggregation remains a plain average.
 
 use super::churnctl::ChurnCtl;
-use super::hier_common::{robust_reduce_into, run_edge_blocks, EdgeBlockParams, QuarantineCtl};
+use super::hier_common::{
+    check_m_edges, robust_reduce_into, run_edge_blocks, EdgeBlockParams, QuarantineCtl,
+};
 use super::hierminimax::{delivery_fault_kind, record_edge_fault};
 use super::{finish_round, Algorithm, IterateAverage, RunError, RunOpts, RunResult};
 use crate::checkpoint::{emit_preamble, CheckpointCtx, ResumedRun};
@@ -82,18 +84,14 @@ impl Algorithm for HierFavg {
     }
 
     fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
-        self.try_run(problem, seed).unwrap_or_else(|e| panic!("{e}"))
+        self.try_run(problem, seed)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
         let cfg = &self.cfg;
         let n_edges = problem.num_edges();
-        assert!(
-            cfg.m_edges <= n_edges,
-            "m_edges {} exceeds {} edges",
-            cfg.m_edges,
-            n_edges
-        );
+        check_m_edges(cfg.m_edges, n_edges)?;
         let d = problem.num_params();
         let meter = CommMeter::new();
         let trace = cfg.opts.make_trace();
@@ -121,7 +119,6 @@ impl Algorithm for HierFavg {
         // Membership churn (inert at the default all-zero plan; the
         // minimization baseline has no fairness weights to re-project).
         let mut churn = ChurnCtl::new(problem, &cfg.opts.churn, seed);
-        let churn_active = churn.active();
         let mut stale_rounds: u64 = 0;
 
         let resumed = ResumedRun::from_opts(&cfg.opts, "HierFAVG", seed, cfg.rounds);
@@ -134,22 +131,9 @@ impl Algorithm for HierFavg {
                 meter.restore(&rr.comm);
                 fault.restore(&rr.faults);
                 faults_prev = rr.faults;
-                if let Some(bytes) = rr.snap.extra(crate::checkpoint::QUARANTINE_SECTION) {
-                    let (until, adv) = crate::checkpoint::decode_quarantine(bytes)
-                        .unwrap_or_else(|e| panic!("cannot resume: {e}"));
-                    quarantine.restore(until);
-                    fault.restore_adversary(&adv);
-                    adv_prev = adv;
-                }
-                if churn_active {
-                    let bytes = rr
-                        .snap
-                        .extra(crate::checkpoint::CHURN_SECTION)
-                        .unwrap_or_else(|| {
-                            panic!("cannot resume a churn run: snapshot has no churn section")
-                        });
-                    stale_rounds = churn.restore(problem, bytes);
-                }
+                adv_prev = quarantine.resume(&rr.snap, &fault)?;
+                stale_rounds =
+                    churn.restore(problem, rr.snap.extra(crate::checkpoint::CHURN_SECTION))?;
                 rr.start_round
             }
             None => 0,
@@ -182,19 +166,15 @@ impl Algorithm for HierFavg {
             let sampling_span = prof.start();
             let mut e_rng =
                 StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
-            // Under churn the uniform draw covers surviving edges only
-            // (a dead edge can never report), with m clamped to their
-            // count.
-            let sampled = if churn_active {
-                let up = churn.up_edges();
-                let m = cfg.m_edges.min(up.len());
-                sample_edges_uniform(up.len(), m, &mut e_rng)
+            // The uniform draw covers surviving edges only (every edge
+            // without churn; a dead edge can never report), with m
+            // clamped to their count.
+            let up = churn.up_edges();
+            let sampled: Vec<usize> =
+                sample_edges_uniform(up.len(), cfg.m_edges.min(up.len()), &mut e_rng)
                     .into_iter()
                     .map(|i| up[i])
-                    .collect()
-            } else {
-                sample_edges_uniform(n_edges, cfg.m_edges, &mut e_rng)
-            };
+                    .collect();
             trace.record(|| Event::Phase1EdgesSampled {
                 round: k,
                 edges: sampled.clone(),
@@ -260,7 +240,6 @@ impl Algorithm for HierFavg {
                 seed,
                 meter: &meter,
                 par: cfg.opts.parallelism,
-                engine: cfg.opts.engine,
                 trace: &trace,
                 telemetry: tel,
                 profile: prof,
@@ -269,7 +248,7 @@ impl Algorithm for HierFavg {
                 track_norms: quarantine.active(),
                 roster: churn.roster(),
             });
-            quarantine.observe(problem, churn.roster(), &outputs);
+            quarantine.observe(churn.roster(), &outputs);
 
             let mut outputs = outputs;
             if cfg.quantizer != Quantizer::Exact {
@@ -332,27 +311,19 @@ impl Algorithm for HierFavg {
 
             // Cloud aggregation weighted by edge data volume (q ∝ data),
             // renormalized over the reports that arrived; a fully-failed
-            // round keeps w^(k) bit-identically. Under churn, an edge's
-            // volume is its *current* members' shards (arrivals counted,
-            // leavers not), so re-homed data keeps its aggregation pull.
+            // round keeps w^(k) bit-identically. An edge's volume is its
+            // *current* members' shards (arrivals counted, leavers not),
+            // so re-homed data keeps its aggregation pull.
             let agg_span = prof.start();
+            let roster = churn.roster();
             let sizes: Vec<f64> = reported
                 .iter()
                 .map(|&i| {
-                    let e = outputs[i].edge;
-                    if churn_active {
-                        churn
-                            .members_of(e)
-                            .iter()
-                            .map(|&gid| churn.data(problem, gid).len())
-                            .sum::<usize>() as f64
-                    } else {
-                        problem.scenario.edges[e]
-                            .client_train
-                            .iter()
-                            .map(|d| d.len())
-                            .sum::<usize>() as f64
-                    }
+                    roster
+                        .members_of(outputs[i].edge)
+                        .iter()
+                        .map(|&gid| roster.data(problem, gid).len())
+                        .sum::<usize>() as f64
                 })
                 .collect();
             let total: f64 = sizes.iter().sum();
@@ -472,12 +443,7 @@ impl Algorithm for HierFavg {
                             ),
                         ));
                     }
-                    if churn_active {
-                        extra.push((
-                            crate::checkpoint::CHURN_SECTION.to_string(),
-                            churn.checkpoint_bytes(stale_rounds),
-                        ));
-                    }
+                    extra.extend(churn.snapshot_extra(stale_rounds));
                     extra
                 },
             );
@@ -569,6 +535,18 @@ mod tests {
         cfg.m_edges = 3;
         let r = HierFavg::new(cfg).run(&fp, 5);
         assert!(fp.objective(&r.final_w, &p0) < before * 0.8);
+    }
+
+    #[test]
+    fn too_many_edges_is_a_typed_error() {
+        let sc = tiny_problem(2, 2, 1);
+        let fp = FederatedProblem::logistic_from_scenario(&sc);
+        let mut cfg = quick_cfg(1);
+        cfg.m_edges = 3;
+        assert_eq!(
+            HierFavg::new(cfg).try_run(&fp, 0).unwrap_err(),
+            RunError::InvalidConfig("m_edges 3 exceeds 2 edges".into())
+        );
     }
 
     #[test]

@@ -19,7 +19,8 @@
 
 use super::churnctl::ChurnCtl;
 use super::hier_common::{
-    multiplicities, robust_reduce_into, run_edge_blocks, EdgeBlockParams, QuarantineCtl,
+    check_m_edges, multiplicities, robust_reduce_into, run_edge_blocks, EdgeBlockParams,
+    QuarantineCtl,
 };
 use super::{finish_round, Algorithm, IterateAverage, RunError, RunOpts, RunResult};
 use crate::checkpoint::{emit_preamble, CheckpointCtx, ResumedRun};
@@ -176,22 +177,26 @@ impl Algorithm for HierMinimax {
     }
 
     fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
-        self.try_run(problem, seed).unwrap_or_else(|e| panic!("{e}"))
+        self.try_run(problem, seed)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
         let cfg = &self.cfg;
         let n_edges = problem.num_edges();
-        let n0 = problem.clients_per_edge();
-        assert!(
-            cfg.m_edges <= n_edges,
-            "m_edges {} exceeds {} edges",
-            cfg.m_edges,
-            n_edges
-        );
+        check_m_edges(cfg.m_edges, n_edges)?;
         if let Some(rates) = &cfg.tau2_per_edge {
-            assert_eq!(rates.len(), n_edges, "one tau2 per edge");
-            assert!(rates.iter().all(|&t| t > 0), "tau2 rates must be positive");
+            if rates.len() != n_edges {
+                return Err(RunError::InvalidConfig(format!(
+                    "one tau2 per edge: got {} rates for {n_edges} edges",
+                    rates.len()
+                )));
+            }
+            if rates.contains(&0) {
+                return Err(RunError::InvalidConfig(
+                    "tau2 rates must be positive".into(),
+                ));
+            }
         }
         let max_tau2 = cfg
             .tau2_per_edge
@@ -225,11 +230,11 @@ impl Algorithm for HierMinimax {
             cfg.opts.quarantine_window,
             problem.topology().total_clients(),
         );
-        // Membership churn (inert at the default all-zero plan, in which
-        // case every churn branch below is skipped and the loop is
-        // bit-identical to the pre-churn build).
+        // Membership churn (inert at the default all-zero plan: the roster
+        // stays the static topology enumeration and no churn draws or
+        // events happen, so the loop is bit-identical to the pre-churn
+        // build).
         let mut churn = ChurnCtl::new(problem, &cfg.opts.churn, seed);
-        let churn_active = churn.active();
         // Consecutive all-failed (stale) rounds; `max_stale_rounds > 0`
         // turns the streak into a typed abort.
         let mut stale_rounds: u64 = 0;
@@ -248,22 +253,9 @@ impl Algorithm for HierMinimax {
                 meter.restore(&rr.comm);
                 fault.restore(&rr.faults);
                 faults_prev = rr.faults;
-                if let Some(bytes) = rr.snap.extra(crate::checkpoint::QUARANTINE_SECTION) {
-                    let (until, adv) = crate::checkpoint::decode_quarantine(bytes)
-                        .unwrap_or_else(|e| panic!("cannot resume: {e}"));
-                    quarantine.restore(until);
-                    fault.restore_adversary(&adv);
-                    adv_prev = adv;
-                }
-                if churn_active {
-                    let bytes = rr
-                        .snap
-                        .extra(crate::checkpoint::CHURN_SECTION)
-                        .unwrap_or_else(|| {
-                            panic!("cannot resume a churn run: snapshot has no churn section")
-                        });
-                    stale_rounds = churn.restore(problem, bytes);
-                }
+                adv_prev = quarantine.resume(&rr.snap, &fault)?;
+                stale_rounds =
+                    churn.restore(problem, rr.snap.extra(crate::checkpoint::CHURN_SECTION))?;
                 rr.start_round
             }
             None => 0,
@@ -392,7 +384,6 @@ impl Algorithm for HierMinimax {
                     seed,
                     meter: &meter,
                     par: cfg.opts.parallelism,
-                    engine: cfg.opts.engine,
                     trace: &trace,
                     telemetry: tel,
                     profile: prof,
@@ -435,7 +426,6 @@ impl Algorithm for HierMinimax {
                             seed,
                             meter: &meter,
                             par: cfg.opts.parallelism,
-                            engine: cfg.opts.engine,
                             trace: &trace,
                             telemetry: tel,
                             profile: prof,
@@ -462,7 +452,7 @@ impl Algorithm for HierMinimax {
                 outputs.iter().zip(&participants).all(|(o, &e)| o.edge == e),
                 "edge outputs out of order"
             );
-            quarantine.observe(problem, churn.roster(), &outputs);
+            quarantine.observe(churn.roster(), &outputs);
 
             // Edges → cloud: final model + checkpoint model (quantized
             // when the codec is active), one round.
@@ -609,22 +599,16 @@ impl Algorithm for HierMinimax {
                 k as u64,
                 u64::MAX,
             ));
-            // Under churn, U^(k) is uniform over the *surviving* edges
-            // (m clamped to their count) — a permanently failed edge can
-            // never report a loss, so keeping it in the pool would bias
-            // the estimate toward zero on every survivor.
-            let (p2_pool, p2_m, u_set) = if churn_active {
-                let up = churn.up_edges();
-                let m = cfg.m_edges.min(up.len());
-                let idx = sample_edges_uniform(up.len(), m, &mut u_rng);
-                (up.len(), m, idx.into_iter().map(|i| up[i]).collect())
-            } else {
-                (
-                    n_edges,
-                    cfg.m_edges,
-                    sample_edges_uniform(n_edges, cfg.m_edges, &mut u_rng),
-                )
-            };
+            // U^(k) is uniform over the *surviving* edges (every edge
+            // without churn; m clamped to their count) — a permanently
+            // failed edge can never report a loss, so keeping it in the
+            // pool would bias the estimate toward zero on every survivor.
+            let up = churn.up_edges();
+            let p2_m = cfg.m_edges.min(up.len());
+            let u_set: Vec<usize> = sample_edges_uniform(up.len(), p2_m, &mut u_rng)
+                .into_iter()
+                .map(|i| up[i])
+                .collect();
             trace.record(|| Event::Phase2EdgesSampled {
                 round: k,
                 edges: u_set.clone(),
@@ -660,62 +644,37 @@ impl Algorithm for HierMinimax {
                 meter.record_broadcast(Link::EdgeCloud, d as u64, retries);
                 prof.record(tel, Phase::FaultRetry, Some(k), None, retry_span);
             }
-            // Under churn the estimating population is each edge's
-            // current member list (re-homed arrivals included, leavers
-            // gone), so both the meter and the estimate see the same set.
-            let est_clients: u64 = if churn_active {
-                est.iter().map(|&e| churn.members_of(e).len() as u64).sum()
-            } else {
-                (est.len() * n0) as u64
-            };
+            // The estimating population is each edge's current member
+            // list (re-homed arrivals included, leavers gone), so both the
+            // meter and the estimate see the same set.
+            let roster = churn.roster();
+            let est_clients: u64 = est.iter().map(|&e| roster.members_of(e).len() as u64).sum();
             meter.record_broadcast(Link::ClientEdge, d as u64, est_clients);
 
-            let topo = problem.topology();
             let model = &problem.model;
-            let churn_ref = &churn;
             let edge_losses: Vec<f64> = cfg.opts.parallelism.map_ref(&est, |&e| {
                 // f_e = (1/N_0) Σ_n f_n(checkpoint; ξ_n).
+                let members = roster.members_of(e);
                 let mut total = 0.0_f64;
-                if churn_active {
-                    let members = churn_ref.members_of(e);
-                    for &client in members {
-                        let mut rng = StreamRng::for_key(StreamKey::new(
-                            seed,
-                            Purpose::LossEstSampling,
-                            k as u64,
-                            client as u64,
-                        ));
-                        total += estimate_loss(
-                            &**model,
-                            churn_ref.data(problem, client),
-                            w_phase2,
-                            cfg.loss_batch,
-                            &mut rng,
-                        );
-                    }
-                    if members.is_empty() {
-                        0.0
-                    } else {
-                        total / members.len() as f64
-                    }
+                for &client in members {
+                    let mut rng = StreamRng::for_key(StreamKey::new(
+                        seed,
+                        Purpose::LossEstSampling,
+                        k as u64,
+                        client as u64,
+                    ));
+                    total += estimate_loss(
+                        &**model,
+                        roster.data(problem, client),
+                        w_phase2,
+                        cfg.loss_batch,
+                        &mut rng,
+                    );
+                }
+                if members.is_empty() {
+                    0.0
                 } else {
-                    for c in 0..n0 {
-                        let client = topo.client_id(e, c);
-                        let mut rng = StreamRng::for_key(StreamKey::new(
-                            seed,
-                            Purpose::LossEstSampling,
-                            k as u64,
-                            client as u64,
-                        ));
-                        total += estimate_loss(
-                            &**model,
-                            problem.client_data(e, c),
-                            w_phase2,
-                            cfg.loss_batch,
-                            &mut rng,
-                        );
-                    }
-                    total / n0 as f64
+                    total / members.len() as f64
                 }
             });
 
@@ -734,7 +693,7 @@ impl Algorithm for HierMinimax {
 
             // Unbiased gradient estimate v and projected ascent (eq. 7).
             let mut v = vec![0.0_f32; n_edges];
-            let scale = p2_pool as f64 / p2_m as f64;
+            let scale = up.len() as f64 / p2_m as f64;
             for (&e, &fe) in est.iter().zip(&edge_losses) {
                 v[e] = (scale * fe) as f32;
             }
@@ -824,38 +783,23 @@ impl Algorithm for HierMinimax {
                 &w,
                 p.clone(),
             );
-            ckpt.after_round(
-                k,
-                &w,
-                &p,
-                &avg_w,
-                &avg_p,
-                &history,
-                comm_now,
-                fstats,
-                {
-                    let mut extra = Vec::new();
-                    if quarantine.active() || fault.has_adversary() {
-                        extra.push((
-                            crate::checkpoint::QUARANTINE_SECTION.to_string(),
-                            // Read the counters fresh: `end_round` has added
-                            // this round's quarantine sentences since `adv_now`
-                            // was captured for the telemetry delta.
-                            crate::checkpoint::encode_quarantine(
-                                quarantine.state(),
-                                &fault.adversary_stats(),
-                            ),
-                        ));
-                    }
-                    if churn_active {
-                        extra.push((
-                            crate::checkpoint::CHURN_SECTION.to_string(),
-                            churn.checkpoint_bytes(stale_rounds),
-                        ));
-                    }
-                    extra
-                },
-            );
+            ckpt.after_round(k, &w, &p, &avg_w, &avg_p, &history, comm_now, fstats, {
+                let mut extra = Vec::new();
+                if quarantine.active() || fault.has_adversary() {
+                    extra.push((
+                        crate::checkpoint::QUARANTINE_SECTION.to_string(),
+                        // Read the counters fresh: `end_round` has added
+                        // this round's quarantine sentences since `adv_now`
+                        // was captured for the telemetry delta.
+                        crate::checkpoint::encode_quarantine(
+                            quarantine.state(),
+                            &fault.adversary_stats(),
+                        ),
+                    ));
+                }
+                extra.extend(churn.snapshot_extra(stale_rounds));
+                extra
+            });
         }
 
         let comm_final = meter.snapshot();
@@ -1023,6 +967,26 @@ mod tests {
             "p never moved: {:?}",
             r.final_p
         );
+    }
+
+    #[test]
+    fn invalid_configs_are_typed_errors() {
+        let sc = tiny_problem(2, 2, 1);
+        let fp = FederatedProblem::logistic_from_scenario(&sc);
+        let mut cfg = quick_cfg(1);
+        cfg.m_edges = 5;
+        assert!(matches!(
+            HierMinimax::new(cfg).try_run(&fp, 0),
+            Err(RunError::InvalidConfig(_))
+        ));
+        for rates in [vec![1], vec![1, 0]] {
+            let mut cfg = quick_cfg(1);
+            cfg.tau2_per_edge = Some(rates);
+            assert!(matches!(
+                HierMinimax::new(cfg).try_run(&fp, 0),
+                Err(RunError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

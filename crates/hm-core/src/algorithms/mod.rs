@@ -49,8 +49,7 @@ use crate::metrics::evaluate;
 use crate::problem::FederatedProblem;
 use hm_simnet::trace::Trace;
 use hm_simnet::{
-    ChurnPlan, ChurnStats, CommStats, ExecEngine, FaultPlan, FaultStats, Parallelism,
-    QuarantineStats,
+    ChurnPlan, ChurnStats, CommStats, FaultPlan, FaultStats, Parallelism, QuarantineStats,
 };
 use hm_telemetry::{Phase, Profiler, Telemetry, TelemetryEvent};
 use hm_tensor::Aggregator;
@@ -82,14 +81,6 @@ pub struct RunOpts {
     /// plan's `client_crash` (the plan wins when both are set); flat
     /// two-layer baselines ignore the plan.
     pub fault: FaultPlan,
-    /// Round scheduling engine for the hierarchical algorithms (see
-    /// `hm_simnet::ExecEngine` and DESIGN.md §7). [`ExecEngine::Chained`]
-    /// (the default) runs each edge's `τ2` blocks as one task chain;
-    /// [`ExecEngine::Barrier`] is the pre-chain per-block fork/join
-    /// scheduler, kept as the benchmarking baseline. Both are bit-identical
-    /// (asserted by `tests/determinism.rs`). Flat baselines, which have no
-    /// block structure, ignore this.
-    pub engine: ExecEngine,
     /// Crash-consistent checkpointing: where/how often to write snapshots
     /// and, optionally, a snapshot to resume from (see `hm-checkpoint` and
     /// DESIGN.md §12). The default neither writes nor resumes.
@@ -117,9 +108,9 @@ pub struct RunOpts {
     /// Deterministic membership churn (see `hm_simnet::churn` and
     /// DESIGN.md §15): clients leave/join mid-run and edge servers fail
     /// permanently with their clients re-homed onto survivors. The
-    /// default zero-rate plan makes no RNG draws and takes the frozen
-    /// legacy paths everywhere, so churn-capable runs with churn off are
-    /// bit-identical to pre-churn builds. Only the three-layer
+    /// default zero-rate plan makes no RNG draws and leaves the static
+    /// membership roster untouched, so churn-capable runs with churn off
+    /// are bit-identical to pre-churn builds. Only the three-layer
     /// hierarchical runs (HierMinimax, HierFAVG) support churn; the
     /// multi-level and flat runners reject or ignore an active plan.
     pub churn: ChurnPlan,
@@ -141,7 +132,6 @@ impl Default for RunOpts {
             trace: false,
             telemetry: Telemetry::disabled(),
             fault: FaultPlan::default(),
-            engine: ExecEngine::default(),
             checkpoint: crate::checkpoint::CheckpointOpts::default(),
             profile: Profiler::disabled(),
             aggregator: Aggregator::Mean,
@@ -231,6 +221,12 @@ pub enum RunError {
         /// The configured cap.
         limit: usize,
     },
+    /// The configuration does not fit the problem (more participating
+    /// edges than the topology has, or a malformed per-edge rate table).
+    InvalidConfig(String),
+    /// A resume snapshot lacks a section the run needs, or a section
+    /// cannot be decoded.
+    Resume(String),
 }
 
 impl std::fmt::Display for RunError {
@@ -245,6 +241,8 @@ impl std::fmt::Display for RunError {
                 "aborted at round {round}: {consecutive} consecutive stale rounds \
                  (no sampled edge reported) exceeded the max_stale_rounds cap of {limit}"
             ),
+            RunError::InvalidConfig(msg) => write!(f, "{msg}"),
+            RunError::Resume(msg) => write!(f, "cannot resume: {msg}"),
         }
     }
 }
@@ -264,8 +262,9 @@ pub trait Algorithm {
     fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult;
 
     /// Fallible form of [`Algorithm::run`]: runners with abort conditions
-    /// (the hierarchical loops' `max_stale_rounds` cap) return a typed
-    /// [`RunError`] instead of panicking. The default forwards to `run`,
+    /// (the hierarchical loops' `max_stale_rounds` cap, an invalid config,
+    /// an unusable resume snapshot) return a typed [`RunError`] instead of
+    /// panicking. The default forwards to `run`,
     /// which never aborts for the other algorithms.
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
         Ok(self.run(problem, seed))

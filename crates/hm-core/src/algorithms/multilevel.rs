@@ -19,7 +19,9 @@
 //! exchange with the cloud on `EdgeCloud` (WAN class), consistent with the
 //! cost model where everything below the cloud is site-local.
 
-use super::hier_common::{multiplicities, robust_reduce_into, run_edge_blocks, EdgeBlockParams};
+use super::hier_common::{
+    multiplicities, robust_reduce_into, run_edge_blocks, ClientRoster, EdgeBlockParams,
+};
 use super::hierminimax::{delivery_fault_kind, record_edge_fault};
 use super::{finish_round, Algorithm, IterateAverage, RunOpts, RunResult};
 use crate::checkpoint::{emit_preamble, CheckpointCtx, ResumedRun};
@@ -154,6 +156,7 @@ impl MultiLevelMinimax {
         meter: &CommMeter,
         trace: &Trace,
         fault: &FaultInjector,
+        roster: &ClientRoster,
     ) -> (Vec<f32>, Option<Vec<f32>>) {
         let cfg = &self.cfg;
         if li == cfg.upper.len() {
@@ -180,14 +183,13 @@ impl MultiLevelMinimax {
                 seed,
                 meter,
                 par: cfg.opts.parallelism,
-                engine: cfg.opts.engine,
                 trace,
                 telemetry: &cfg.opts.telemetry,
                 profile: &cfg.opts.profile,
                 aggregator: cfg.opts.aggregator,
                 quarantined: &[],
                 track_norms: false,
-                roster: None,
+                roster,
             });
             let agg = &cfg.opts.aggregator;
             let mut agg_scratch: Vec<f32> = Vec::new();
@@ -238,6 +240,7 @@ impl MultiLevelMinimax {
                     meter,
                     trace,
                     fault,
+                    roster,
                 ));
             }
             // Gather child models (+ checkpoints when this is the
@@ -314,6 +317,8 @@ impl Algorithm for MultiLevelMinimax {
         let fault = FaultInjector::new(seed, cfg.opts.fault.clone().with_dropout(cfg.dropout));
         let mut faults_prev = FaultStats::default();
         let mut adv_prev = hm_simnet::QuarantineStats::default();
+        // Static membership: no churn here.
+        let roster = ClientRoster::of_topology(&problem.topology());
 
         let resumed = ResumedRun::from_opts(&cfg.opts, "MultiLevelMinimax", seed, cfg.rounds);
         let start_round = match &resumed {
@@ -446,6 +451,7 @@ impl Algorithm for MultiLevelMinimax {
                         &meter,
                         &trace,
                         &fault,
+                        &roster,
                     )
                 })
                 .collect();

@@ -16,7 +16,9 @@
 //! [`OverselectResult::simulated_seconds`], alongside the usual
 //! [`RunResult`].
 
-use super::hier_common::{multiplicities, robust_reduce_into, run_edge_blocks, EdgeBlockParams};
+use super::hier_common::{
+    multiplicities, robust_reduce_into, run_edge_blocks, ClientRoster, EdgeBlockParams,
+};
 use super::hierminimax::{delivery_fault_kind, record_edge_fault};
 use super::{finish_round, Algorithm, IterateAverage, RunOpts, RunResult};
 use crate::checkpoint::{CheckpointCtx, ResumedRun};
@@ -128,6 +130,8 @@ impl OverselectMinimax {
         let fault = FaultInjector::new(seed, cfg.opts.fault.clone().with_dropout(cfg.dropout));
         let mut faults_prev = FaultStats::default();
         let mut adv_prev = hm_simnet::QuarantineStats::default();
+        // Static membership: no churn here.
+        let roster = ClientRoster::of_topology(&problem.topology());
         let tel = &cfg.opts.telemetry;
 
         let mut w = problem
@@ -252,14 +256,13 @@ impl OverselectMinimax {
                 seed,
                 meter: &meter,
                 par: cfg.opts.parallelism,
-                engine: cfg.opts.engine,
                 trace: &trace,
                 telemetry: &cfg.opts.telemetry,
                 profile: prof,
                 aggregator: cfg.opts.aggregator,
                 quarantined: &[],
                 track_norms: false,
-                roster: None,
+                roster: &roster,
             });
             let mut reported: Vec<usize> = Vec::with_capacity(participants.len());
             let mut retries = 0u64;

@@ -4,7 +4,7 @@
 //! [`Workspace`], a gradient buffer, and a [`BatchScratch`] for mini-batch
 //! gathers. Allocating these per call is the residual cost the hotpath
 //! bench attributes to logistic/CNN (small models amortise nothing), and
-//! under the chained round engine a worker thread runs thousands of
+//! under the round engine a worker thread runs thousands of
 //! client-blocks back to back — so scratch is pooled per *thread* and
 //! reused across blocks, rounds, and even algorithm runs.
 //!
@@ -14,8 +14,9 @@
 //! `workspace_grad_is_bit_identical_to_legacy_path`), the gradient buffer
 //! is overwritten by `loss_grad_ws`'s contract, and `BatchScratch` clears
 //! its index buffer on every draw. A dirty pooled bundle therefore yields
-//! bit-identical results to a fresh one — proven by the tests below and by
-//! the engine-equivalence matrix in `tests/determinism.rs`.
+//! bit-identical results to a fresh one — proven by the tests below, by
+//! the executor matrix in `tests/determinism.rs`, and by the naive oracle
+//! in `tests/oracle_diff.rs`.
 
 use crate::workspace::Workspace;
 use hm_data::batch::BatchScratch;

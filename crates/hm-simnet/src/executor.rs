@@ -12,29 +12,11 @@
 //! schedule — it also licenses coarser task shapes than a flat per-item
 //! map: [`Parallelism::map_chains`] runs long-lived sequential chains (one
 //! per edge, say) with nested fan-out inside, with no barrier between
-//! chains. The round-level engine in `hm-core` uses this to remove the
-//! per-block global joins of the barrier engine.
+//! chains. The round engine in `hm-core` uses this to run each edge's `τ2`
+//! blocks as one task, so a round costs a single fork/join instead of one
+//! global join per block.
 
 use rayon::prelude::*;
-
-/// Which round-level execution engine an algorithm run uses.
-///
-/// Both engines obey the concurrency rule above and are bit-identical on
-/// every algorithm and fault preset (asserted by `tests/determinism.rs`);
-/// they differ only in task shape and allocation behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecEngine {
-    /// Per-edge task chains: each participating edge runs its τ2 blocks as
-    /// one sequential task with its clients fanned out inside, so there is
-    /// no cross-edge join until the end of the round (the default).
-    #[default]
-    Chained,
-    /// The pre-chain reference engine: all edges synchronise at every
-    /// block boundary (τ2−1 global joins per round) and every client-block
-    /// allocates fresh scratch. Kept as the measurement baseline for the
-    /// `roundtime` bench and as the oracle for engine-equivalence tests.
-    Barrier,
-}
 
 /// Whether client work runs sequentially or on the rayon pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -267,10 +249,5 @@ mod tests {
             mode.for_each_mut(&mut slots, |i, s| *s = i + 1);
             assert_eq!(slots, (1..=40).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn exec_engine_default_is_chained() {
-        assert_eq!(ExecEngine::default(), ExecEngine::Chained);
     }
 }

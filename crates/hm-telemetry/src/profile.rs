@@ -9,7 +9,7 @@
 //!   *unsequenced*, so the sequenced event stream — and with it checkpoint
 //!   `seq` values, resume splices, and conformance digests — is
 //!   bit-identical between profiled and unprofiled runs
-//!   (`tests/profile.rs` proves this over the full engine × parallelism
+//!   (`tests/profile.rs` proves this over the parallelism × fault-plan
 //!   matrix).
 //! - **No dependencies.** Quantiles come from a small fixed log-spaced
 //!   bucket histogram, not a sketch library: bucket 0 holds spans below

@@ -9,6 +9,14 @@
 //! does cleverly: multiplicity counting, survivor bookkeeping, scratch
 //! reuse, fused projected steps, workspace-based gradients.
 //!
+//! The HierMinimax round honours the run's fault plan and aggregator: its
+//! fault decisions come from [`FaultPlan`]'s pure keyed decision functions
+//! (the ones the conformance replayer uses too), and robust reductions call
+//! the public `hm_tensor::robust` kernels, which are proptested against
+//! naive references in `hm-tensor`. This makes it the reference the
+//! optimized round engine is checked against under crashes, stragglers,
+//! edge outages, message loss, Byzantine uploads and robust aggregation.
+//!
 //! The contract is **bit-identical** per-round iterates: the optimized run
 //! emits `GlobalModel`/`WeightUpdate` trace events, and the differential
 //! tests (`tests/oracle_diff.rs`) assert `==` on `f32` vectors, not
@@ -24,7 +32,8 @@ use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
 use hm_nn::Model;
 use hm_optim::{Projection, ProjectionOp};
-use hm_simnet::Quantizer;
+use hm_simnet::{FaultPlan, MsgChannel, Quantizer, StragglerFate};
+use hm_tensor::Aggregator;
 
 /// The iterates a reference round produces.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,27 +172,57 @@ fn naive_estimate_loss(
     model.loss(w, &batch)
 }
 
-/// Whether a client survives a block, replaying the dedicated dropout
-/// stream (`dropout == 0` short-circuits without a draw, as the protocol
-/// does).
-fn survives(seed: u64, round: usize, tau2: usize, t2: usize, client: usize, dropout: f32) -> bool {
-    if dropout == 0.0 {
-        return true;
+/// Reduce `sources` under the run's aggregator: the naive mean for
+/// [`Aggregator::Mean`], the `hm_tensor::robust` kernel otherwise. `base`
+/// is the pre-aggregation model NormClip measures deviations against.
+fn naive_reduce(agg: &Aggregator, sources: &[&[f32]], base: &[f32]) -> Vec<f32> {
+    if *agg == Aggregator::Mean {
+        return naive_mean(sources);
     }
-    let mut drng = StreamRng::for_key(StreamKey::new(
-        seed,
-        Purpose::Dropout,
-        (round * tau2 + t2) as u64,
-        client as u64,
-    ));
-    drng.uniform() >= f64::from(dropout)
+    let mut out = vec![0.0_f32; base.len()];
+    let got =
+        agg.aggregate_present_into(sources, |s| Some(*s), Some(base), &mut Vec::new(), &mut out);
+    assert_eq!(got, sources.len());
+    out
+}
+
+/// Cloud-side reduction over the reports that arrived: the weighted mean
+/// for [`Aggregator::Mean`]; robust rules are unweighted (duplicates in the
+/// with-replacement sample buy no extra influence).
+fn naive_cloud_reduce(
+    agg: &Aggregator,
+    sources: &[&[f32]],
+    weights: &[f64],
+    base: &[f32],
+) -> Vec<f32> {
+    if *agg == Aggregator::Mean {
+        naive_weighted_mean(sources, weights)
+    } else {
+        naive_reduce(agg, sources, base)
+    }
+}
+
+/// Whether a client's upload reaches its edge in a block: it must not
+/// crash (the legacy `dropout` knob is folded into the plan's crash rate)
+/// and must not straggle past the deadline.
+fn uploads(plan: &FaultPlan, seed: u64, block_tag: u64, client: usize) -> bool {
+    !plan.client_crashed(seed, block_tag, 0, client)
+        && plan.straggler(seed, block_tag, 0, client) != StragglerFate::Missed
+}
+
+/// Whether the cloud's message on `channel` reaches a live edge `e`.
+fn reaches(plan: &FaultPlan, seed: u64, k: usize, channel: MsgChannel, e: usize) -> bool {
+    !plan.edge_out(seed, k as u64, 0, e) && plan.delivery(seed, k as u64, 0, channel, e).delivered
 }
 
 /// One full HierMinimax round (Algorithm 1, Phases 1 and 2), transcribed
-/// naively. `w`/`p` are the round-start iterates `w^(k)` / `p^(k)`.
+/// naively. `w`/`p` are the round-start iterates `w^(k)` / `p^(k)`. The
+/// config's fault plan (with `dropout` folded in) and aggregator are
+/// honoured.
 ///
 /// # Panics
-/// Panics on heterogeneous `tau2_per_edge` configs (not modelled here).
+/// Panics on heterogeneous `tau2_per_edge` configs, quarantine and
+/// membership churn (not modelled here).
 pub fn reference_hierminimax_round(
     problem: &FederatedProblem,
     cfg: &HierMinimaxConfig,
@@ -196,10 +235,16 @@ pub fn reference_hierminimax_round(
         cfg.tau2_per_edge.is_none(),
         "reference round models homogeneous rates only"
     );
+    assert!(
+        cfg.opts.quarantine_z == 0.0 && cfg.opts.churn.is_none(),
+        "reference round models neither quarantine nor churn"
+    );
     let n_edges = problem.num_edges();
     let n0 = problem.clients_per_edge();
     let topo = problem.topology();
     let model = &*problem.model;
+    let plan = cfg.opts.fault.clone().with_dropout(cfg.dropout);
+    let agg = &cfg.opts.aggregator;
 
     // Phase 1 (a): sample E^(k) ∝ p^(k) with replacement, and (c1, c2)
     // uniform on [τ1] × [τ2].
@@ -210,27 +255,33 @@ pub fn reference_hierminimax_round(
     let c1 = c_rng.below(cfg.tau1);
     let c2 = c_rng.below(cfg.tau2);
     let (distinct, counts) = naive_multiplicities(&sampled);
+    // Only edges that are up and hear the broadcast take part.
+    let (edges, counts): (Vec<usize>, Vec<usize>) = distinct
+        .into_iter()
+        .zip(counts)
+        .filter(|&(e, _)| reaches(&plan, seed, k, MsgChannel::Phase1Down, e))
+        .unzip();
 
-    // Phase 1 (b): ModelUpdate at every distinct sampled edge — τ2 blocks
-    // of τ1 local steps, averaging survivors per block, checkpoint in
-    // block c2.
-    let mut edge_models: Vec<Vec<f32>> = distinct.iter().map(|_| w.to_vec()).collect();
-    let mut edge_cps: Vec<Option<Vec<f32>>> = vec![None; distinct.len()];
+    // Phase 1 (b): ModelUpdate at every participating edge — τ2 blocks of
+    // τ1 local steps, reducing the surviving (possibly Byzantine) uploads
+    // per block, checkpoint in block c2.
+    let mut edge_models: Vec<Vec<f32>> = edges.iter().map(|_| w.to_vec()).collect();
+    let mut edge_cps: Vec<Option<Vec<f32>>> = vec![None; edges.len()];
     for t2 in 0..cfg.tau2 {
+        let block_tag = (k * cfg.tau2 + t2) as u64;
         let cp_after = (t2 == c2).then_some(c1);
-        for (ei, &e) in distinct.iter().enumerate() {
+        for (ei, &e) in edges.iter().enumerate() {
             let base = edge_models[ei].clone();
-            let mut outs: Vec<Option<ClientIterates>> = Vec::new();
+            let mut outs: Vec<ClientIterates> = Vec::new();
             for c in 0..n0 {
                 let client = topo.client_id(e, c);
-                if !survives(seed, k, cfg.tau2, t2, client, cfg.dropout) {
-                    outs.push(None);
+                if !uploads(&plan, seed, block_tag, client) {
                     continue;
                 }
                 let mut rng = StreamRng::for_key(StreamKey::new(
                     seed,
                     Purpose::Batch,
-                    (k * cfg.tau2 + t2) as u64,
+                    block_tag,
                     client as u64,
                 ));
                 let (mut w_out, mut cp_out) = naive_local_sgd(
@@ -244,11 +295,17 @@ pub fn reference_hierminimax_round(
                     &mut rng,
                     cp_after,
                 );
+                if plan.client_corrupt(seed, block_tag, 0, client) {
+                    plan.corrupt_update(seed, block_tag, 0, client, &base, &mut w_out);
+                    if let Some(cp) = cp_out.as_mut() {
+                        plan.corrupt_update(seed, block_tag, 0, client, &base, cp);
+                    }
+                }
                 if cfg.quantizer != Quantizer::Exact {
                     let mut qrng = StreamRng::for_key(StreamKey::new(
                         seed,
                         Purpose::Quantize,
-                        (k * cfg.tau2 + t2) as u64,
+                        block_tag,
                         client as u64,
                     ));
                     naive_quantize_delta(&cfg.quantizer, &base, &mut w_out, &mut qrng);
@@ -256,26 +313,20 @@ pub fn reference_hierminimax_round(
                         naive_quantize_delta(&cfg.quantizer, &base, cp, &mut qrng);
                     }
                 }
-                outs.push(Some((w_out, cp_out)));
+                outs.push((w_out, cp_out));
             }
-            let survivors: Vec<&[f32]> = outs
-                .iter()
-                .filter_map(|o| o.as_ref().map(|(wc, _)| wc.as_slice()))
-                .collect();
-            if survivors.is_empty() {
+            if outs.is_empty() {
                 // Total blackout: the edge keeps its block-start model.
                 continue;
             }
-            edge_models[ei] = naive_mean(&survivors);
+            let survivors: Vec<&[f32]> = outs.iter().map(|(wc, _)| wc.as_slice()).collect();
+            edge_models[ei] = naive_reduce(agg, &survivors, &base);
             if t2 == c2 {
                 let cps: Vec<&[f32]> = outs
                     .iter()
-                    .filter_map(|o| {
-                        o.as_ref()
-                            .map(|(_, cp)| cp.as_deref().expect("checkpoint block"))
-                    })
+                    .map(|(_, cp)| cp.as_deref().expect("checkpoint block"))
                     .collect();
-                edge_cps[ei] = Some(naive_mean(&cps));
+                edge_cps[ei] = Some(naive_reduce(agg, &cps, &base));
             }
         }
     }
@@ -289,7 +340,7 @@ pub fn reference_hierminimax_round(
 
     // Edge → cloud codec: deltas against the round's broadcast model.
     if cfg.quantizer != Quantizer::Exact {
-        for (ei, &e) in distinct.iter().enumerate() {
+        for (ei, &e) in edges.iter().enumerate() {
             let mut qrng = StreamRng::for_key(StreamKey::new(
                 seed,
                 Purpose::Quantize,
@@ -301,18 +352,38 @@ pub fn reference_hierminimax_round(
         }
     }
 
-    // Cloud aggregation over the m_E sampled slots (eqs. 5–6).
-    let weights: Vec<f64> = counts
-        .iter()
-        .map(|&c| c as f64 / cfg.m_edges as f64)
+    // Cloud aggregation over the reports that arrived (eqs. 5–6), each
+    // weighted by its sample multiplicity and renormalized over the
+    // arrivals. With no report the round is stale: the cloud keeps w^(k),
+    // which is also the model Phase 2 evaluates.
+    let reported: Vec<usize> = (0..edges.len())
+        .filter(|&ei| {
+            plan.delivery(seed, k as u64, 0, MsgChannel::Phase1Up, edges[ei])
+                .delivered
+        })
         .collect();
-    let finals: Vec<&[f32]> = edge_models.iter().map(|v| v.as_slice()).collect();
-    let w_next = naive_weighted_mean(&finals, &weights);
-    let cps: Vec<&[f32]> = edge_cps.iter().map(|v| v.as_slice()).collect();
-    let w_checkpoint = naive_weighted_mean(&cps, &weights);
+    let (w_next, w_checkpoint) = if reported.is_empty() {
+        (w.to_vec(), w.to_vec())
+    } else {
+        let m_reported: usize = reported.iter().map(|&ei| counts[ei]).sum();
+        let weights: Vec<f64> = reported
+            .iter()
+            .map(|&ei| counts[ei] as f64 / m_reported as f64)
+            .collect();
+        let finals: Vec<&[f32]> = reported
+            .iter()
+            .map(|&ei| edge_models[ei].as_slice())
+            .collect();
+        let cps: Vec<&[f32]> = reported.iter().map(|&ei| edge_cps[ei].as_slice()).collect();
+        (
+            naive_cloud_reduce(agg, &finals, &weights, w),
+            naive_cloud_reduce(agg, &cps, &weights, w),
+        )
+    };
 
     // Phase 2: uniform U^(k), per-edge loss estimates on the checkpoint
-    // (or an ablation model), importance-weighted ascent (eq. 7).
+    // (or an ablation model), importance-weighted ascent (eq. 7). An edge
+    // that is out or misses the broadcast contributes v_e = 0.
     let w_phase2: &[f32] = match cfg.weight_update_model {
         WeightUpdateModel::RandomCheckpoint => &w_checkpoint,
         WeightUpdateModel::FinalModel => &w_next,
@@ -328,6 +399,9 @@ pub fn reference_hierminimax_round(
     let mut v = vec![0.0_f32; n_edges];
     let scale = n_edges as f64 / cfg.m_edges as f64;
     for &e in &u_set {
+        if !reaches(&plan, seed, k, MsgChannel::Phase2Down, e) {
+            continue;
+        }
         let mut total = 0.0_f64;
         for c in 0..n0 {
             let client = topo.client_id(e, c);

@@ -5,16 +5,17 @@
 //! 1. **Zero-rate inertness** — a plan whose `corrupt_rate` is zero makes
 //!    no adversary-stream draws, and `Aggregator::Mean` routes through the
 //!    exact legacy averaging kernels: runs with the adversary knobs at
-//!    their defaults are bit-identical to `RunOpts::default()` runs across
-//!    `{Sequential, Rayon} × {Chained, Barrier}`.
+//!    their defaults are bit-identical to `RunOpts::default()` runs on
+//!    both executors (`Sequential`, `Rayon`).
 //! 2. **Adversarial determinism** — corrupted runs draw every corruption
 //!    bit and payload from keyed streams, so attacked runs (any attack ×
 //!    any robust aggregator, quarantine on) are bit-identical across both
-//!    executors and both engines, down to the adversary counters.
+//!    executors, down to the adversary counters.
 //! 3. **Resume carries quarantine state** — a run killed at any cloud
 //!    round resumes bit-identically with the adversary active and the
 //!    z-score quarantine enabled: exclusion windows and cumulative
-//!    `QuarantineStats` restore from the snapshot's quarantine section.
+//!    `QuarantineStats` restore from the snapshot's quarantine section,
+//!    and an undecodable section is a typed `RunError::Resume`.
 //! 4. **The attack-success oracle** — under the canonical sign-flip
 //!    attack at 20% corruption, plain mean aggregation drifts ≥ 10× as
 //!    far from its honest trajectory as the trimmed mean does (the same
@@ -22,12 +23,12 @@
 
 use hierminimax::checkpoint::{read_snapshot, snapshot_path};
 use hierminimax::core::algorithms::{
-    Algorithm, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig, RunOpts,
+    Algorithm, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig, RunError, RunOpts,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
 use hierminimax::data::scenarios::tiny_problem;
-use hierminimax::simnet::{AttackModel, ExecEngine, FaultPlan, Parallelism};
+use hierminimax::simnet::{AttackModel, FaultPlan, Parallelism};
 use hierminimax::tensor::Aggregator;
 use std::sync::Arc;
 
@@ -47,12 +48,11 @@ fn byzantine_plan(attack: AttackModel) -> FaultPlan {
     }
 }
 
-fn opts(par: Parallelism, engine: ExecEngine, plan: FaultPlan, agg: Aggregator) -> RunOpts {
+fn opts(par: Parallelism, plan: FaultPlan, agg: Aggregator) -> RunOpts {
     RunOpts {
         eval_every: 2,
         parallelism: par,
         fault: plan,
-        engine,
         aggregator: agg,
         ..Default::default()
     }
@@ -87,28 +87,22 @@ fn assert_identical(tag: &str, a: &RunResult, b: &RunResult) {
     assert_eq!(a.quarantine, b.quarantine, "{tag}: adversary stats differ");
 }
 
-const GRID: [(Parallelism, ExecEngine); 4] = [
-    (Parallelism::Sequential, ExecEngine::Chained),
-    (Parallelism::Sequential, ExecEngine::Barrier),
-    (Parallelism::Rayon, ExecEngine::Chained),
-    (Parallelism::Rayon, ExecEngine::Barrier),
-];
+const GRID: [Parallelism; 2] = [Parallelism::Sequential, Parallelism::Rayon];
 
 #[test]
 fn zero_rate_adversary_knobs_are_inert() {
     // The frozen reference: `RunOpts::default()` predates the adversary
     // layer entirely. Spelling out a zero-rate plan and the Mean
-    // aggregator must not change a single bit, on any executor × engine
-    // cell, and must record no adversary activity.
+    // aggregator must not change a single bit, on either executor, and
+    // must record no adversary activity.
     let fp = problem();
-    for (par, engine) in GRID {
-        let tag = format!("{par:?}/{engine:?}");
+    for par in GRID {
+        let tag = format!("{par:?}");
         let baseline = hierminimax(
             ROUNDS,
             RunOpts {
                 eval_every: 2,
                 parallelism: par,
-                engine,
                 ..Default::default()
             },
         )
@@ -117,7 +111,6 @@ fn zero_rate_adversary_knobs_are_inert() {
             ROUNDS,
             opts(
                 par,
-                engine,
                 FaultPlan {
                     corrupt_rate: 0.0,
                     attack: AttackModel::Collude,
@@ -146,12 +139,7 @@ fn adversarial_runs_are_bit_identical_across_executors_and_engines() {
         (AttackModel::Collude, Aggregator::NormClip { tau: 1.0 }),
     ];
     for (attack, agg) in cells {
-        let mut quarantined = opts(
-            Parallelism::Sequential,
-            ExecEngine::Chained,
-            byzantine_plan(attack),
-            agg,
-        );
+        let mut quarantined = opts(Parallelism::Sequential, byzantine_plan(attack), agg);
         quarantined.quarantine_z = 2.0;
         quarantined.quarantine_window = 2;
         let reference = hierminimax(ROUNDS, quarantined).run(&fp, SEED);
@@ -161,12 +149,12 @@ fn adversarial_runs_are_bit_identical_across_executors_and_engines() {
             attack.as_str(),
             agg.as_str()
         );
-        for (par, engine) in GRID {
-            let mut o = opts(par, engine, byzantine_plan(attack), agg);
+        for par in GRID {
+            let mut o = opts(par, byzantine_plan(attack), agg);
             o.quarantine_z = 2.0;
             o.quarantine_window = 2;
             let r = hierminimax(ROUNDS, o).run(&fp, SEED);
-            let tag = format!("{}/{} [{par:?}/{engine:?}]", attack.as_str(), agg.as_str());
+            let tag = format!("{}/{} [{par:?}]", attack.as_str(), agg.as_str());
             assert_identical(&tag, &reference, &r);
         }
     }
@@ -181,7 +169,6 @@ fn resume_carries_quarantine_state_bit_identically() {
     let base = {
         let mut o = opts(
             Parallelism::Sequential,
-            ExecEngine::Chained,
             byzantine_plan(AttackModel::SignFlip),
             Aggregator::TrimmedMean { beta: 0.25 },
         );
@@ -239,6 +226,21 @@ fn resume_carries_quarantine_state_bit_identically() {
             let resumed = factory(r_opts).run(&fp, SEED);
             assert_identical(&format!("{name}: kill at round {kill}"), &full, &resumed);
         }
+
+        // An undecodable quarantine section is a typed resume error.
+        let mut snap = read_snapshot(&snapshot_path(&dir, name, 1)).unwrap();
+        let section = snap
+            .extras
+            .iter_mut()
+            .find(|(n, _)| n == "quarantine")
+            .expect("adversarial snapshots carry a quarantine section");
+        section.1.truncate(3);
+        let mut r_opts = base.clone();
+        r_opts.checkpoint.resume = Some(Arc::new(snap));
+        assert!(
+            matches!(factory(r_opts).try_run(&fp, SEED), Err(RunError::Resume(_))),
+            "{name}: truncated quarantine section must not resume"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -275,7 +277,7 @@ fn attack_drift(fp: &FederatedProblem, agg: Aggregator, plan: FaultPlan) -> f64 
             quantizer: Default::default(),
             dropout: 0.0,
             tau2_per_edge: None,
-            opts: opts(Parallelism::Sequential, ExecEngine::Chained, plan, agg),
+            opts: opts(Parallelism::Sequential, plan, agg),
         })
         .run(fp, SEED)
     };

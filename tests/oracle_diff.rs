@@ -3,12 +3,20 @@
 //! `hm-testkit` — same keyed RNG streams, same accumulation order, same
 //! projections, so every `assert_eq!` below is on raw `Vec<f32>` with no
 //! tolerance. Any refactor of the hot path (fused steps, workspaces,
-//! scratch reuse) that changes even one ULP anywhere fails here.
+//! scratch reuse) that changes even one ULP anywhere fails here. The
+//! HierMinimax oracle honours the fault plan and the aggregator, so the
+//! round engine is checked against it under client crashes, stragglers,
+//! edge outages, message loss, Byzantine uploads and robust aggregation,
+//! on both executors.
 
 use hierminimax::core::algorithms::{
-    Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, HierMinimax,
+    Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, HierMinimax, HierMinimaxConfig, RunOpts,
 };
+use hierminimax::core::problem::FederatedProblem;
+use hierminimax::data::scenarios::tiny_problem;
 use hierminimax::simnet::trace::Event;
+use hierminimax::simnet::{AttackModel, FaultPlan, Parallelism, Quantizer};
+use hierminimax::tensor::Aggregator;
 use hm_testkit::strategies::{arb_scenario, traced_opts};
 use hm_testkit::{
     reference_drfa_round, reference_fedavg_round, reference_hierminimax_run, reference_init_w,
@@ -34,14 +42,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// HierMinimax's per-round global model and edge weights match the
-    /// naive reference round-for-round, bit-for-bit. The oracle models the
-    /// fault-free protocol (legacy dropout included), so the generated
-    /// fault plan is cleared here; fault-injected runs are covered by the
-    /// conformance replay and the dedicated fault suite.
+    /// naive reference round-for-round, bit-for-bit, under the generated
+    /// fault plan (legacy dropout folded in).
     #[test]
     fn hierminimax_matches_reference(spec in arb_scenario()) {
-        let mut spec = spec;
-        spec.fault = hierminimax::simnet::FaultPlan::default();
         let fp = spec.problem();
         let cfg = spec.hierminimax_config();
         let r = HierMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
@@ -58,6 +62,92 @@ proptest! {
         let last = reference.last().unwrap();
         prop_assert_eq!(&r.final_w, &last.w);
         prop_assert_eq!(&r.final_p, &last.p);
+    }
+}
+
+/// Run HierMinimax traced and assert every round's `(w, p)` equals the
+/// oracle's.
+fn assert_matches_reference(tag: &str, fp: &FederatedProblem, cfg: &HierMinimaxConfig, seed: u64) {
+    let r = HierMinimax::new(cfg.clone()).run(fp, seed);
+    let (ws, ps) = traced_iterates(&r.trace.events());
+    let reference = reference_hierminimax_run(fp, cfg, seed);
+    assert_eq!(ws.len(), reference.len(), "{tag}: round count");
+    assert_eq!(ps.len(), reference.len(), "{tag}: round count");
+    for (k, rr) in reference.iter().enumerate() {
+        assert_eq!(ws[k], rr.w, "{tag}: w diverged at round {k}");
+        assert_eq!(ps[k], rr.p, "{tag}: p diverged at round {k}");
+    }
+}
+
+/// The fixed (fault, quantizer, aggregator) grid: fault-free, chaos (with
+/// and without the stochastic codec), and Byzantine uploads under each
+/// robust rule, as full HierMinimax runs on both executors. Every cell
+/// must match the oracle bit for bit.
+#[test]
+fn hierminimax_matches_reference_under_faults_and_robust_aggregators() {
+    let fp = FederatedProblem::logistic_from_scenario(&tiny_problem(4, 3, 9));
+    let chaos = FaultPlan::preset("chaos").unwrap();
+    let byzantine = FaultPlan::preset("byzantine").unwrap();
+    let cells = [
+        (
+            "none",
+            FaultPlan::default(),
+            Quantizer::Exact,
+            Aggregator::Mean,
+        ),
+        ("chaos", chaos.clone(), Quantizer::Exact, Aggregator::Mean),
+        (
+            "chaos-q4",
+            chaos,
+            Quantizer::Stochastic { bits: 4 },
+            Aggregator::Mean,
+        ),
+        (
+            "byzantine-trimmed",
+            byzantine.clone(),
+            Quantizer::Exact,
+            Aggregator::TrimmedMean { beta: 0.25 },
+        ),
+        (
+            "byzantine-q4-median",
+            byzantine.clone(),
+            Quantizer::Stochastic { bits: 4 },
+            Aggregator::CoordinateMedian,
+        ),
+        (
+            "collude-clip",
+            FaultPlan {
+                attack: AttackModel::Collude,
+                ..byzantine
+            },
+            Quantizer::Exact,
+            Aggregator::NormClip { tau: 0.5 },
+        ),
+    ];
+    for (name, fault, quantizer, aggregator) in cells {
+        for par in [Parallelism::Sequential, Parallelism::Rayon] {
+            let cfg = HierMinimaxConfig {
+                rounds: 4,
+                tau1: 2,
+                tau2: 3,
+                m_edges: 3,
+                eta_w: 0.1,
+                eta_p: 0.05,
+                batch_size: 2,
+                loss_batch: 3,
+                quantizer,
+                opts: RunOpts {
+                    eval_every: 0,
+                    parallelism: par,
+                    trace: true,
+                    fault: fault.clone(),
+                    aggregator,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            assert_matches_reference(&format!("{name} [{par:?}]"), &fp, &cfg, 11);
+        }
     }
 }
 
