@@ -94,12 +94,15 @@ impl Parallelism {
     /// chain's output in index order.
     ///
     /// A chain is a long-lived task (e.g. one edge's τ2 client-edge blocks)
-    /// that runs start to finish on one worker with no synchronisation
-    /// against sibling chains. `with_max_len(1)` forces rayon to split the
-    /// range down to one chain per task, so chains of very different cost
-    /// (heterogeneous τ2, stragglers) never get glued into the same task.
-    /// Nested rayon calls inside a chain (client fan-out) are fine: rayon's
-    /// work-stealing lets idle workers pick up the inner jobs.
+    /// that runs start to finish on one thread with no synchronisation
+    /// against sibling chains. Under the vendored rayon shim the chains are
+    /// split into one contiguous run per pool thread (the caller runs the
+    /// first), and nested calls inside a chain (client fan-out) run inline
+    /// on that chain's thread; results never depend on the split. The
+    /// `with_max_len(1)` hint is a no-op there; with the real crate it asks
+    /// for one chain per task, so chains of very different cost
+    /// (heterogeneous τ2, stragglers) are not glued together and
+    /// work-stealing can spread the inner jobs.
     pub fn map_chains<U, F>(self, n: usize, f: F) -> Vec<U>
     where
         U: Send,
