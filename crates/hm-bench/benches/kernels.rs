@@ -16,9 +16,15 @@ fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
 
 fn bench_matmul(c: &mut Criterion) {
     let mut g = c.benchmark_group("matmul_transb");
-    // Shapes from the actual models: logistic forward (batch × 256 · 10×256ᵀ)
-    // and the MLP's fattest layer (batch × 256 · 300×256ᵀ).
-    for &(m, k, n) in &[(8usize, 256usize, 10usize), (8, 256, 300), (64, 256, 300)] {
+    // Logits-layer shapes the workloads run: the fig3 batch-1 local step
+    // (1 × 256 · 10×256ᵀ), a Phase-2 loss estimate (16 × 256), one edge's
+    // eval set (500 × 256) and the fig4 MLP head (16 × 50 · 10×50ᵀ).
+    for &(m, k, n) in &[
+        (1usize, 256usize, 10usize),
+        (16, 256, 10),
+        (500, 256, 10),
+        (16, 50, 10),
+    ] {
         let a = rand_matrix(m, k, 1);
         let b = rand_matrix(n, k, 2);
         g.throughput(Throughput::Elements((m * k * n) as u64));
@@ -36,7 +42,12 @@ fn bench_workspace_kernels(c: &mut Criterion) {
     // above: same shapes, caller-owned output reused across iterations —
     // the hot-path pattern of the workspace-based forward/backward.
     let mut g = c.benchmark_group("matmul_transb_into");
-    for &(m, k, n) in &[(8usize, 256usize, 10usize), (8, 256, 300), (64, 256, 300)] {
+    for &(m, k, n) in &[
+        (1usize, 256usize, 10usize),
+        (16, 256, 10),
+        (500, 256, 10),
+        (16, 50, 10),
+    ] {
         let a = rand_matrix(m, k, 5);
         let b = rand_matrix(n, k, 6);
         g.throughput(Throughput::Elements((m * k * n) as u64));

@@ -10,6 +10,7 @@
 
 use crate::losses::{cross_entropy_backward_into, cross_entropy_from_logits};
 use crate::model::Model;
+use crate::pool::with_scratch;
 use crate::workspace::Workspace;
 use hm_data::{Dataset, StreamRng};
 use hm_tensor::{ops, Matrix, MatrixView};
@@ -127,9 +128,10 @@ impl Model for Mlp {
     }
 
     fn loss(&self, params: &[f32], batch: &Dataset) -> f64 {
-        let mut ws = Workspace::new();
-        self.forward_ws(params, &batch.x, &mut ws);
-        cross_entropy_from_logits(&ws.logits, &batch.y)
+        with_scratch(|s| {
+            self.forward_ws(params, &batch.x, &mut s.ws);
+            cross_entropy_from_logits(&s.ws.logits, &batch.y)
+        })
     }
 
     fn loss_grad_ws(
@@ -176,9 +178,10 @@ impl Model for Mlp {
     }
 
     fn predict(&self, params: &[f32], x: &Matrix) -> Vec<usize> {
-        let mut ws = Workspace::new();
-        self.forward_ws(params, x, &mut ws);
-        ops::argmax_rows(&ws.logits)
+        with_scratch(|s| {
+            self.forward_ws(params, x, &mut s.ws);
+            ops::argmax_rows(&s.ws.logits)
+        })
     }
 }
 

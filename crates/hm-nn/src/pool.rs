@@ -6,7 +6,9 @@
 //! bench attributes to logistic/CNN (small models amortise nothing), and
 //! under the round engine a worker thread runs thousands of
 //! client-blocks back to back — so scratch is pooled per *thread* and
-//! reused across blocks, rounds, and even algorithm runs.
+//! reused across blocks, rounds, and even algorithm runs. The forward-only
+//! `Model::loss` and `Model::predict` of the MLP and logistic models (every
+//! Phase-2 estimate and evaluation) borrow their `Workspace` the same way.
 //!
 //! Pooling is safe for determinism because every buffer in the bundle is
 //! overwrite-on-use: `Workspace` stages intermediates that are fully
@@ -133,5 +135,57 @@ mod tests {
 
         assert_eq!(l_fresh.to_bits(), l_pool.to_bits());
         assert_eq!(fresh.grad, g_pool);
+    }
+
+    #[test]
+    fn forward_only_loss_and_predict_ignore_dirty_scratch() {
+        // `loss` and `predict` take a pooled bundle; after unrelated work
+        // has dirtied this thread's pool they must match a forward through
+        // a fresh `Workspace` bit for bit.
+        use crate::{Mlp, Model, MulticlassLogistic};
+        use hm_data::rng::{Purpose, StreamKey};
+        use hm_data::{Dataset, StreamRng};
+        use hm_tensor::{ops, Matrix};
+
+        let mut rng = StreamRng::for_key(StreamKey::new(4, Purpose::Misc, 0, 0));
+        let x = Matrix::from_fn(9, 6, |_, _| rng.normal() as f32 * 0.5);
+        let y = (0..9).map(|_| rng.below(3)).collect();
+        let data = Dataset::new(x, y, 3);
+        let models: [Box<dyn Model>; 3] = [
+            Box::new(Mlp::new(6, &[5], 3)),
+            Box::new(Mlp::new(6, &[40, 4], 3)),
+            Box::new(MulticlassLogistic::new(6, 3)),
+        ];
+        for model in &models {
+            let params: Vec<f32> = (0..model.num_params())
+                .map(|_| rng.normal() as f32 * 0.3)
+                .collect();
+            let mut fresh = Workspace::new();
+            let mut grad = vec![0.0; model.num_params()];
+            let l_fresh = model.loss_grad_ws(&params, &data, &mut grad, &mut fresh);
+            let p_fresh = ops::argmax_rows(&fresh.logits);
+
+            // Dirty every bundle the calls below can pop, including the
+            // nested one an outer `with_scratch` leaves them.
+            with_scratch(|outer| {
+                with_scratch(|inner| {
+                    for s in [&mut *outer, inner] {
+                        let big = Mlp::new(9, &[33, 8], 2);
+                        let bdata =
+                            Dataset::new(Matrix::from_fn(11, 9, |_, _| 0.7), vec![1; 11], 2);
+                        let bparams = vec![f32::NAN; big.num_params()];
+                        s.grad.resize(big.num_params(), 0.0);
+                        big.loss_grad_ws(&bparams, &bdata, &mut s.grad, &mut s.ws);
+                    }
+                });
+            });
+            assert_eq!(model.loss(&params, &data).to_bits(), l_fresh.to_bits());
+            assert_eq!(model.predict(&params, &data.x), p_fresh);
+            // The same again from inside an outer bundle, as `estimate_loss` calls it.
+            let (l_nested, p_nested) =
+                with_scratch(|_| (model.loss(&params, &data), model.predict(&params, &data.x)));
+            assert_eq!(l_nested.to_bits(), l_fresh.to_bits());
+            assert_eq!(p_nested, p_fresh);
+        }
     }
 }

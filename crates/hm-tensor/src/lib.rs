@@ -10,10 +10,11 @@
 //!
 //! Design notes:
 //! - Everything is `f32` storage (matching the PyTorch float32 runs in the
-//!   paper) with `f64` accumulators in dot products and reductions.
+//!   paper) with `f64` accumulators in reductions; matrix products
+//!   accumulate in `f32` with a fixed per-element order.
 //! - Parallelism kicks in above [`ops::PAR_THRESHOLD`] scalar ops so tiny
 //!   matrices (common in unit tests) don't pay rayon overhead.
-//! - No `unsafe`.
+//! - `unsafe` only in `ops`' SSE2 lanes for the `A · Bᵀ` kernel (x86-64).
 
 pub mod matrix;
 pub mod ops;

@@ -1,10 +1,13 @@
 //! Matrix kernels: products (plain and transposed variants), row softmax,
 //! log-sum-exp, ReLU forward/backward, argmax, and reductions.
 //!
-//! Products parallelise over output rows with rayon once the scalar work
-//! exceeds [`PAR_THRESHOLD`]; below it a sequential loop is faster than the
-//! fork-join overhead. Per-element accumulation order inside each output
-//! element is fixed, so results are identical regardless of thread count.
+//! [`matmul_into`], [`matmul_transb_into`] and [`matmul_transa_slice`]
+//! parallelise over output rows with rayon once the scalar work exceeds
+//! [`PAR_THRESHOLD`] (and [`PAR_ROW_THRESHOLD`] per row); below that a
+//! sequential loop is faster than the fork-join overhead. The
+//! pre-transposed forward [`matmul_transb_pret_into`] always runs
+//! sequentially. Per-element accumulation order inside each output element
+//! is fixed, so results are identical regardless of thread count.
 
 use crate::{Matrix, MatrixView};
 use rayon::prelude::*;
@@ -13,8 +16,10 @@ use rayon::prelude::*;
 pub const PAR_THRESHOLD: usize = 64 * 1024;
 
 /// Minimum multiply-adds *per row* before parallelising: with less work
-/// per task, rayon's fork-join overhead dominates (measured ~10–20 µs per
-/// dispatch on small batches, vs ~1 µs of arithmetic).
+/// per task, rayon's fork-join overhead dominates. Set when every fork
+/// spawned fresh OS threads (~10–20 µs per dispatch on small batches, vs
+/// ~1 µs of arithmetic); unmeasured since the rayon shim moved to a
+/// persistent worker pool, which forks more cheaply.
 pub const PAR_ROW_THRESHOLD: usize = 8 * 1024;
 
 #[inline]
@@ -129,6 +134,14 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
 /// element is assigned, so no zeroing pass is needed; accumulation order
 /// matches [`matmul_transb`] exactly.
 ///
+/// Each output is a four-lane dot product: lane `l` sums the `k ≡ l (mod 4)`
+/// products in ascending `k` (multiply, then add; never fused), the lanes
+/// fold as `(l0 + l1) + (l2 + l3)`, and the `k % 4` tail products follow in
+/// index order. A single such chain is bound by add latency, so outputs are
+/// computed in register blocks (see `transb_rows`) that keep several
+/// independent chains in flight. Blocks only share loads, so neither the
+/// block shape nor the thread count changes a result.
+///
 /// # Panics
 /// Panics on inner-dimension mismatch.
 pub fn matmul_transb_into(a: MatrixView, b: MatrixView, out: &mut Matrix) {
@@ -144,26 +157,166 @@ pub fn matmul_transb_into(a: MatrixView, b: MatrixView, out: &mut Matrix) {
     let (m, k) = a.shape();
     let n = b.rows();
     out.resize(m, n);
-    let work = m * k * n;
-    let body = |(r, out_row): (usize, &mut [f32])| {
-        let a_row = a.row(r);
-        // One `dot_f32` per output element. Manually blocked variants (2 and
-        // 4 columns per pass, j-tiling for B-row reuse) all measured equal
-        // or slower here: the out-of-order window already overlaps adjacent
-        // column chains, and LLVM's SLP pass turns multi-accumulator blocks
-        // into shuffle-heavy code.
-        for (j, o) in out_row.iter_mut().enumerate() {
-            *o = dot_f32(a_row, b.row(j));
-        }
-    };
-    if go_parallel(work, m) {
+    let (a, b) = (a.as_slice(), b.as_slice());
+    if go_parallel(m * k * n, m) {
         out.as_mut_slice()
-            .par_chunks_mut(n)
+            .par_chunks_mut(4 * n)
             .enumerate()
-            .for_each(body);
+            .for_each(|(c, o)| transb_rows::<NativeLanes>(&a[4 * c * k..], b, k, n, o));
     } else {
-        out.as_mut_slice().chunks_mut(n).enumerate().for_each(body);
+        transb_rows::<NativeLanes>(a, b, k, n, out.as_mut_slice());
     }
+}
+
+/// Four `f32` accumulator lanes of the `A · Bᵀ` kernel.
+trait Lanes: Copy {
+    /// Whether [`transb_rows`] may run multi-output blocks on these lanes.
+    const BLOCKED: bool;
+    fn load(v: &[f32; 4]) -> Self;
+    /// `self + a * b` lane-wise, rounded after the multiply and the add.
+    fn add_mul(self, a: Self, b: Self) -> Self;
+    /// `(l0 + l1) + (l2 + l3)`.
+    fn sum(self) -> f32;
+}
+
+/// Portable lanes, run one output at a time. Blocks of several `[f32; 4]`
+/// accumulators measured 0.57–0.98× of the single-output loop on x86-64:
+/// LLVM's SLP pass turns them into shuffles. Explicit 128-bit registers
+/// ([`Sse`]) are what make blocking pay.
+impl Lanes for [f32; 4] {
+    const BLOCKED: bool = false;
+    fn load(v: &[f32; 4]) -> Self {
+        *v
+    }
+    fn add_mul(self, a: Self, b: Self) -> Self {
+        core::array::from_fn(|l| self[l] + a[l] * b[l])
+    }
+    fn sum(self) -> f32 {
+        (self[0] + self[1]) + (self[2] + self[3])
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+use core::arch::x86_64 as x86;
+
+/// SSE2 lanes: one 128-bit register per output. SSE2 is in the x86-64
+/// baseline, so no runtime detection or build flag is needed. The compiler
+/// still requires `unsafe` around the intrinsics, even with the feature on
+/// for the whole build; the `cfg` makes the build prove that it is on.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+#[derive(Clone, Copy)]
+struct Sse(x86::__m128);
+
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+impl Lanes for Sse {
+    const BLOCKED: bool = true;
+    fn load(v: &[f32; 4]) -> Self {
+        // SAFETY: `v` borrows four initialised, contiguous `f32`s, the load
+        // has no alignment requirement, and SSE is on (the `cfg` on `Sse`).
+        Sse(unsafe { x86::_mm_loadu_ps(v.as_ptr()) })
+    }
+    fn add_mul(self, a: Self, b: Self) -> Self {
+        // SAFETY: register-only arithmetic; SSE is on (the `cfg` on `Sse`).
+        Sse(unsafe { x86::_mm_add_ps(self.0, x86::_mm_mul_ps(a.0, b.0)) })
+    }
+    fn sum(self) -> f32 {
+        let v = self.0;
+        // SAFETY: register-only arithmetic; SSE is on (the `cfg` on `Sse`).
+        unsafe {
+            // [l0, l1, l2, l3] + [l1, l0, l3, l2] = [l0 + l1, _, l2 + l3, _].
+            let pairs = x86::_mm_add_ps(v, x86::_mm_shuffle_ps::<0b10_11_00_01>(v, v));
+            x86::_mm_cvtss_f32(pairs) + x86::_mm_cvtss_f32(x86::_mm_movehl_ps(pairs, pairs))
+        }
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+type NativeLanes = Sse;
+#[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+type NativeLanes = [f32; 4];
+
+/// `out = A · Bᵀ` for the first `out.len() / n` rows of `a`, with `a` and
+/// `b` row-major over `k` columns and `b` holding `n` rows. Blocked lanes
+/// take 4 rows × 2 columns of outputs at a time (eight independent chains),
+/// leftover rows 1 × 5 (this covers the batch-1 forward) and leftover
+/// columns 1 × 1; unblocked lanes take every output 1 × 1.
+fn transb_rows<L: Lanes>(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    let m = out.len().checked_div(n).unwrap_or(0);
+    let mut r = 0;
+    if L::BLOCKED {
+        while r + 4 <= m {
+            row_block::<L, 4, 2>(a, b, k, n, r, out);
+            r += 4;
+        }
+        while r < m {
+            row_block::<L, 1, 5>(a, b, k, n, r, out);
+            r += 1;
+        }
+    }
+    while r < m {
+        row_block::<L, 1, 1>(a, b, k, n, r, out);
+        r += 1;
+    }
+}
+
+/// Rows `r..r + R` of `out`, `C` columns per block, then 1 × 1 for the
+/// `n % C` columns left over.
+#[inline(always)]
+fn row_block<L: Lanes, const R: usize, const C: usize>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    r: usize,
+    out: &mut [f32],
+) {
+    let rows: [&[f32]; R] = core::array::from_fn(|i| &a[(r + i) * k..(r + i + 1) * k]);
+    let b_row = |j: usize| &b[j * k..(j + 1) * k];
+    let mut j = 0;
+    while j + C <= n {
+        let dots = dot_block::<L, R, C>(rows, core::array::from_fn(|q| b_row(j + q)));
+        for (i, d) in dots.iter().enumerate() {
+            out[(r + i) * n + j..][..C].copy_from_slice(d);
+        }
+        j += C;
+    }
+    for j in j..n {
+        for (i, row) in rows.iter().enumerate() {
+            out[(r + i) * n + j] = dot_block::<L, 1, 1>([row], [b_row(j)])[0][0];
+        }
+    }
+}
+
+/// The `R × C` dot products of `a`'s rows with `b`'s rows (all of one
+/// length), each in its own accumulator.
+#[inline(always)]
+fn dot_block<L: Lanes, const R: usize, const C: usize>(
+    a: [&[f32]; R],
+    b: [&[f32]; C],
+) -> [[f32; C]; R] {
+    let chunks = a[0].len() / 4;
+    // Slicing every row to the same `chunks` lets the loop drop its bounds checks.
+    let a4 = a.map(|row| &row.as_chunks::<4>().0[..chunks]);
+    let b4 = b.map(|row| &row.as_chunks::<4>().0[..chunks]);
+    let mut acc = [[L::load(&[0.0; 4]); C]; R];
+    for c in 0..chunks {
+        let av: [L; R] = core::array::from_fn(|i| L::load(&a4[i][c]));
+        let bv: [L; C] = core::array::from_fn(|q| L::load(&b4[q][c]));
+        for (acc_i, &ai) in acc.iter_mut().zip(&av) {
+            for (o, &bq) in acc_i.iter_mut().zip(&bv) {
+                *o = o.add_mul(ai, bq);
+            }
+        }
+    }
+    core::array::from_fn(|i| {
+        core::array::from_fn(|q| {
+            let mut s = acc[i][q].sum();
+            for (x, y) in a[i][chunks * 4..].iter().zip(&b[q][chunks * 4..]) {
+                s += x * y;
+            }
+            s
+        })
+    })
 }
 
 /// `dst = srcᵀ`, written into `dst` (resized, capacity reused).
@@ -349,14 +502,15 @@ pub fn matmul_transb_pret_into(
     }
 }
 
-/// Minimum output width (`B` rows) at which the pre-transposed forward
-/// kernel beats the dot form: below it the per-k lane setup outweighs the
-/// streaming gain (measured crossover ≈ 30 columns on x86-64).
+/// Minimum output width (`B` rows) at which [`matmul_transb_fwd_into`]
+/// takes the pre-transposed forward kernel. Set against the old single-chain
+/// dot form (crossover ≈ 30 columns on x86-64). Against the register-blocked
+/// [`matmul_transb_into`], pret only wins on sparse inputs (DESIGN.md §7b).
 pub const PRET_MIN_COLS: usize = 32;
 
-/// Linear-layer forward `C = A · Bᵀ` that picks the faster kernel for the
-/// shape: the pre-transposed streaming kernel for wide outputs (staging
-/// `Bᵀ` in `wt`), the dot-form [`matmul_transb_into`] for narrow ones.
+/// Linear-layer forward `C = A · Bᵀ` that picks a kernel by shape: the
+/// pre-transposed streaming kernel for wide outputs (staging `Bᵀ` in `wt`),
+/// the register-blocked [`matmul_transb_into`] for narrow ones.
 /// Results are bit-identical either way, so the choice is purely a
 /// performance dispatch.
 pub fn matmul_transb_fwd_into(
@@ -478,29 +632,6 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     out
-}
-
-/// Dot product with four independent accumulator lanes, letting the
-/// compiler vectorise despite strict FP ordering (the lane pattern is a
-/// fixed function of the length, so results stay run-to-run deterministic).
-#[inline]
-fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut lanes = [0.0_f32; 4];
-    let chunks = a.len() / 4;
-    for i in 0..chunks {
-        let ai = &a[i * 4..i * 4 + 4];
-        let bi = &b[i * 4..i * 4 + 4];
-        lanes[0] += ai[0] * bi[0];
-        lanes[1] += ai[1] * bi[1];
-        lanes[2] += ai[2] * bi[2];
-        lanes[3] += ai[3] * bi[3];
-    }
-    let mut acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    for i in chunks * 4..a.len() {
-        acc += a[i] * b[i];
-    }
-    acc
 }
 
 /// Add a row vector (bias) to every row of `m` in place.
@@ -729,6 +860,124 @@ mod tests {
         }
     }
 
+    /// Per-element scalar reference for `matmul_transb_into`: four lanes over
+    /// `k ≡ l (mod 4)` in ascending `k`, folded `(l0 + l1) + (l2 + l3)`, then
+    /// the `k % 4` tail in index order.
+    fn ref_dot(a: &[f32], b: &[f32]) -> f32 {
+        let chunks = a.len() / 4;
+        let mut lanes = [0.0_f32; 4];
+        for i in 0..chunks * 4 {
+            lanes[i % 4] += a[i] * b[i];
+        }
+        let mut acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+        for i in chunks * 4..a.len() {
+            acc += a[i] * b[i];
+        }
+        acc
+    }
+
+    /// Equal bits, or both NaN (NaN payloads are not part of the contract).
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            let same = x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+            assert!(same, "{what}: element {i} is {x:e}, want {y:e}");
+        }
+    }
+
+    /// `mat` with `±0.0`, subnormals and, when `infs` is set, `±inf` mixed in.
+    fn special_mat(rows: usize, cols: usize, seed: u64, infs: bool) -> Matrix {
+        let mut m = mat(rows, cols, seed);
+        let mut s = seed.wrapping_mul(0xD1B54A32D192ED03).wrapping_add(5);
+        for v in m.as_mut_slice() {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            *v = match s % 64 {
+                0..=3 => 0.0,
+                4..=5 => -0.0,
+                6..=7 => f32::MIN_POSITIVE / 3.0,
+                8 => -1e-40,
+                9 if infs => f32::INFINITY,
+                10 if infs => f32::NEG_INFINITY,
+                _ => *v,
+            };
+        }
+        m
+    }
+
+    /// Operand pairs for one `m × k · (n × k)ᵀ` shape: dense, special
+    /// values without and with infinities, and a scaled `A` whose products
+    /// and sums are subnormal.
+    fn transb_operands(m: usize, k: usize, n: usize, seed: u64) -> Vec<(Matrix, Matrix)> {
+        let tiny = mat(m, k, seed + 3).map(|x| x * 1e-38);
+        vec![
+            (mat(m, k, seed), mat(n, k, seed + 1)),
+            (
+                special_mat(m, k, seed, false),
+                special_mat(n, k, seed + 1, false),
+            ),
+            (
+                special_mat(m, k, seed + 2, true),
+                special_mat(n, k, seed + 3, true),
+            ),
+            (tiny, mat(n, k, seed + 4)),
+        ]
+    }
+
+    #[test]
+    fn transb_bit_identical_to_scalar_reference() {
+        let mut out = Matrix::zeros(0, 0);
+        for k in (0..=11).chain([255, 256, 257]) {
+            for m in 0..=9 {
+                for n in 0..=13 {
+                    for (a, b) in transb_operands(m, k, n, (m * 131 + n * 17 + k) as u64) {
+                        let want = Matrix::from_fn(m, n, |r, j| ref_dot(a.row(r), b.row(j)));
+                        matmul_transb_into(a.view(), b.view(), &mut out);
+                        assert_eq!(out.shape(), (m, n));
+                        assert_same_bits(out.as_slice(), want.as_slice(), &format!("{m}x{k}x{n}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transb_parallel_branch_matches_sequential() {
+        // Nine rows: two 4-row parallel chunks plus a 1-row chunk.
+        let (m, k, n) = (9usize, 1025usize, 13usize);
+        assert!(go_parallel(m * k * n, m));
+        for (a, b) in transb_operands(m, k, n, 41) {
+            let mut par = Matrix::zeros(0, 0);
+            matmul_transb_into(a.view(), b.view(), &mut par);
+            let mut seq = vec![0.0; m * n];
+            transb_rows::<NativeLanes>(a.as_slice(), b.as_slice(), k, n, &mut seq);
+            assert_same_bits(par.as_slice(), &seq, "parallel vs sequential");
+        }
+    }
+
+    /// Non-x86-64 targets run the portable lanes; pin them to the SSE lanes
+    /// so the x86-64 suite covers that code path too.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    #[test]
+    fn portable_lanes_match_sse_lanes() {
+        for (m, k, n) in [
+            (9usize, 257usize, 13usize),
+            (5, 11, 7),
+            (4, 256, 10),
+            (1, 50, 10),
+        ] {
+            for (a, b) in transb_operands(m, k, n, 53) {
+                let (a, b) = (a.as_slice(), b.as_slice());
+                let mut portable = vec![0.0; m * n];
+                let mut sse = vec![0.0; m * n];
+                transb_rows::<[f32; 4]>(a, b, k, n, &mut portable);
+                transb_rows::<Sse>(a, b, k, n, &mut sse);
+                assert_same_bits(&portable, &sse, &format!("{m}x{k}x{n}"));
+            }
+        }
+    }
+
     #[test]
     fn matmul_matches_naive_parallel_path() {
         // Large enough to take the rayon path: total work and per-row work
@@ -865,6 +1114,25 @@ mod tests {
             let c3 = matmul_transa(&at, &b);
             let c4 = matmul(&at.transpose(), &b);
             prop_assert!(c3.max_abs_diff(&c4) < 1e-4);
+        }
+
+        #[test]
+        fn prop_transb_bit_identical_to_scalar_reference(
+            m in 0usize..20, k in 0usize..70, n in 0usize..20, seed in 0u64..1000,
+        ) {
+            let mut out = Matrix::zeros(0, 0);
+            for (a, b) in transb_operands(m, k, n, seed) {
+                matmul_transb_into(a.view(), b.view(), &mut out);
+                for r in 0..m {
+                    for j in 0..n {
+                        let (x, y) = (out[(r, j)], ref_dot(a.row(r), b.row(j)));
+                        prop_assert!(
+                            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                            "({}, {}) of {}x{}x{}: {:e} vs {:e}", r, j, m, k, n, x, y
+                        );
+                    }
+                }
+            }
         }
 
         #[test]
