@@ -64,48 +64,38 @@ fn bench_workspace_kernels(c: &mut Criterion) {
     }
     g.finish();
 
-    // The sparsity-aware pre-transposed forward against the dot form on a
-    // training-like operand: ~40 % exact zeros in `A`, as produced by
-    // clamped image pixels or post-ReLU activations. `fwd` includes the
-    // per-call weight transpose, matching what a training step pays.
-    let mut g = c.benchmark_group("matmul_transb_fwd_sparse");
-    for &(m, k, n) in &[(16usize, 256usize, 100usize), (16, 100, 50)] {
-        let mut a = rand_matrix(m, k, 8);
-        for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
-            if i % 5 < 2 {
-                *v = 0.0;
+    // fig4's wide forward layers (256→100 on input pixels, 100→50 on the
+    // first hidden layer) at its batch sizes, with `A` dense and at 30 %
+    // and 55 % exact zeros (fig4's inputs are ≈ 30 % zero, its ReLU'd
+    // hidden units 36–47 %). The kernel skips no zeros, so the three
+    // should time alike.
+    let mut g = c.benchmark_group("matmul_transb_into_wide");
+    for &(m, k, n) in &[
+        (8usize, 256usize, 100usize),
+        (16, 256, 100),
+        (8, 100, 50),
+        (16, 100, 50),
+    ] {
+        for zeros_pct in [0usize, 30, 55] {
+            let mut a = rand_matrix(m, k, 8);
+            for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
+                if (i * 37) % 100 < zeros_pct {
+                    *v = 0.0;
+                }
             }
+            let b = rand_matrix(n, k, 9);
+            g.throughput(Throughput::Elements((m * k * n) as u64));
+            g.bench_with_input(
+                BenchmarkId::new(format!("zeros{zeros_pct}"), format!("{m}x{k}x{n}")),
+                &(a, b),
+                |bench, (a, b)| {
+                    let mut out = Matrix::zeros(m, n);
+                    bench.iter(|| {
+                        ops::matmul_transb_into(black_box(a).view(), black_box(b).view(), &mut out)
+                    })
+                },
+            );
         }
-        let b = rand_matrix(n, k, 9);
-        g.throughput(Throughput::Elements((m * k * n) as u64));
-        g.bench_with_input(
-            BenchmarkId::new("dot", format!("{m}x{k}x{n}")),
-            &(a.clone(), b.clone()),
-            |bench, (a, b)| {
-                let mut out = Matrix::zeros(m, n);
-                bench.iter(|| {
-                    ops::matmul_transb_into(black_box(a).view(), black_box(b).view(), &mut out)
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("pret_fwd", format!("{m}x{k}x{n}")),
-            &(a.clone(), b.clone()),
-            |bench, (a, b)| {
-                let mut wt = Matrix::zeros(0, 0);
-                let mut lanes = Matrix::zeros(0, 0);
-                let mut out = Matrix::zeros(m, n);
-                bench.iter(|| {
-                    ops::matmul_transb_fwd_into(
-                        black_box(a).view(),
-                        black_box(b).view(),
-                        &mut wt,
-                        &mut lanes,
-                        &mut out,
-                    )
-                })
-            },
-        );
     }
     g.finish();
 

@@ -283,8 +283,6 @@ impl Model for SimpleCnn {
             da2,
             dp1,
             da1,
-            wt,
-            lanes,
             ..
         } = ws;
         // Forward (keeping per-sample caches) then manual backward; batch
@@ -298,18 +296,15 @@ impl Model for SimpleCnn {
             self.run_conv_stack(params, batch.x.row(i), cache);
             feats.row_mut(i).copy_from_slice(&cache.p2);
         }
-        // Head: feats → fc(ReLU) → logits. Weights are viewed in place from
-        // the flat parameter slice.
+        // Head: feats → fc(ReLU) → logits, on the same forward kernel as
+        // `forward_batch`. Weights are viewed in place from the flat
+        // parameter slice.
         let fcw = MatrixView::new(self.hidden, d.flat, &params[off[4]..off[5]]);
-        // Shape-dispatched forward (bit-identical to `matmul_transb_into`):
-        // post-pooling features are sparse, and the wide fc layer goes
-        // through the pre-transposed kernel whose streaming loop skips the
-        // zeros.
-        ops::matmul_transb_fwd_into(feats.view(), fcw, wt, lanes, hid);
+        ops::matmul_transb_into(feats.view(), fcw, hid);
         ops::add_row_inplace(hid, &params[off[5]..off[6]]);
         ops::relu_inplace(hid);
         let hw = MatrixView::new(self.classes, self.hidden, &params[off[6]..off[7]]);
-        ops::matmul_transb_fwd_into(hid.view(), hw, wt, lanes, logits);
+        ops::matmul_transb_into(hid.view(), hw, logits);
         ops::add_row_inplace(logits, &params[off[7]..off[8]]);
         let loss = cross_entropy_from_logits(logits, &batch.y);
 

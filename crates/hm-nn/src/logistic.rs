@@ -48,14 +48,12 @@ impl MulticlassLogistic {
     }
 
     /// Logits `X·Wᵀ + b` for a batch, written into `ws.logits`. The weight
-    /// matrix is viewed in place from the flat parameter slice — no copy —
-    /// and goes through the shape-dispatched forward kernel
-    /// (bit-identical either way, see `ops::matmul_transb_fwd_into`).
+    /// matrix is viewed in place from the flat parameter slice — no copy.
     fn logits_into(&self, params: &[f32], x: &Matrix, ws: &mut Workspace) {
         assert_eq!(x.cols(), self.dim, "input dim mismatch");
         let (w_flat, b) = self.unpack(params);
         let w = MatrixView::new(self.classes, self.dim, w_flat);
-        ops::matmul_transb_fwd_into(x.view(), w, &mut ws.wt, &mut ws.lanes, &mut ws.logits);
+        ops::matmul_transb_into(x.view(), w, &mut ws.logits);
         ops::add_row_inplace(&mut ws.logits, b);
     }
 }

@@ -71,37 +71,27 @@ impl Mlp {
     /// `ws.acts[0..L-1]` (layer `l`'s output at index `l`), logits in
     /// `ws.logits`. The input itself is **not** copied — backward reads it
     /// from the caller's batch. Weight matrices are viewed in place from the
-    /// flat parameter slice.
+    /// flat parameter slice, and every layer's product is one
+    /// `ops::matmul_transb_into`.
     fn forward_ws(&self, params: &[f32], x: &Matrix, ws: &mut Workspace) {
         assert_eq!(params.len(), self.num_params(), "bad parameter length");
         assert_eq!(x.cols(), self.widths[0], "input dim mismatch");
         let layout = self.layout();
         let num_layers = self.num_layers();
         ws.ensure_acts(num_layers - 1);
-        let Workspace {
-            acts,
-            logits,
-            wt,
-            lanes,
-            ..
-        } = ws;
+        let Workspace { acts, logits, .. } = ws;
         for (l, &(wo, wl, bo, bl)) in layout.iter().enumerate() {
             let (fan_in, fan_out) = (self.widths[l], self.widths[l + 1]);
             let w = MatrixView::new(fan_out, fan_in, &params[wo..wo + wl]);
-            // Shape-dispatched forward (bit-identical to
-            // `matmul_transb_into`): wide layers go through the
-            // pre-transposed kernel, whose streaming inner loop skips
-            // exactly-zero inputs (clamped pixels, ReLU'd hidden units) —
-            // that dominates the step cost at training batch sizes.
             if l + 1 == num_layers {
                 let input = if l == 0 { x.view() } else { acts[l - 1].view() };
-                ops::matmul_transb_fwd_into(input, w, wt, lanes, logits);
+                ops::matmul_transb_into(input, w, logits);
                 ops::add_row_inplace(logits, &params[bo..bo + bl]);
             } else {
                 let (prev, rest) = acts.split_at_mut(l);
                 let z = &mut rest[0];
                 let input = if l == 0 { x.view() } else { prev[l - 1].view() };
-                ops::matmul_transb_fwd_into(input, w, wt, lanes, z);
+                ops::matmul_transb_into(input, w, z);
                 ops::add_row_inplace(z, &params[bo..bo + bl]);
                 ops::relu_inplace(z);
             }

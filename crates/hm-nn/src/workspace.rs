@@ -44,11 +44,6 @@ pub struct Workspace {
     pub(crate) dp1: Vec<f32>,
     /// CNN per-sample backward scratch: grad w.r.t. conv1 activations.
     pub(crate) da1: Vec<f32>,
-    /// Transposed weight matrix for the pre-transposed forward kernel
-    /// (`ops::matmul_transb_pret_into`), rebuilt per linear layer.
-    pub(crate) wt: Matrix,
-    /// Lane-accumulator scratch (`4 × fan_out`) for the same kernel.
-    pub(crate) lanes: Matrix,
 }
 
 impl Workspace {

@@ -14,6 +14,9 @@
 //!   accumulate in `f32` with a fixed per-element order.
 //! - Parallelism kicks in above [`ops::PAR_THRESHOLD`] scalar ops so tiny
 //!   matrices (common in unit tests) don't pay rayon overhead.
+//! - One forward kernel: every linear layer's `X · Wᵀ` runs
+//!   [`ops::matmul_transb_into`], which multiplies through exact zeros;
+//!   only the backward kernels skip them.
 //! - `unsafe` only in `ops`' SSE2 lanes for the `A · Bᵀ` kernel (x86-64).
 
 pub mod matrix;

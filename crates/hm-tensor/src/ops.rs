@@ -4,10 +4,14 @@
 //! [`matmul_into`], [`matmul_transb_into`] and [`matmul_transa_slice`]
 //! parallelise over output rows with rayon once the scalar work exceeds
 //! [`PAR_THRESHOLD`] (and [`PAR_ROW_THRESHOLD`] per row); below that a
-//! sequential loop is faster than the fork-join overhead. The
-//! pre-transposed forward [`matmul_transb_pret_into`] always runs
-//! sequentially. Per-element accumulation order inside each output element
-//! is fixed, so results are identical regardless of thread count.
+//! sequential loop is faster than the fork-join overhead. Per-element
+//! accumulation order inside each output element is fixed, so results are
+//! identical regardless of thread count.
+//!
+//! Every linear-layer forward (`X · Wᵀ` with row-major weights) runs on the
+//! one register-blocked kernel [`matmul_transb_into`]; the backward pass
+//! runs [`matmul_into`] (input gradient) and [`matmul_transa_slice`]
+//! (weight gradient).
 
 use crate::{Matrix, MatrixView};
 use rayon::prelude::*;
@@ -82,15 +86,13 @@ pub fn matmul_into(a: MatrixView, b: MatrixView, out: &mut Matrix) {
             .par_chunks_mut(n)
             .enumerate()
             .for_each(body);
-    } else if (PRET_MIN_COLS..=NZ_BUF).contains(&k) {
+    } else if (ZERO_SCAN_MIN..=NZ_BUF).contains(&k) {
         // Sequential wide-shape path: compact each row's nonzero positions
         // branchlessly, then replay them unconditionally — same additions in
         // the same ascending-i order as the branchy loop (bit-identical),
-        // but without a data-dependent branch per element. See
-        // `matmul_transb_pret_into` for why that matters on training deltas.
-        // Narrow inner dimensions keep the branchy skip: those operands
-        // (logits-layer deltas) are dense, so the branch predicts perfectly
-        // and the scan would be pure overhead.
+        // but without a data-dependent branch per element. Training deltas
+        // are resampled every step, so their zero pattern is fresh noise to
+        // the branch predictor and a per-element skip branch mispredicts.
         let a_flat = a.as_slice();
         let b_flat = b.as_slice();
         let out_flat = out.as_mut_slice();
@@ -120,6 +122,13 @@ pub fn matmul_into(a: MatrixView, b: MatrixView, out: &mut Matrix) {
 /// branchless sparsity scans; shapes past it fall back to branchy skips.
 const NZ_BUF: usize = 1024;
 
+/// Shortest scanned dimension (`k` in [`matmul_into`], `m` in
+/// [`matmul_transa_slice`]) at which the sequential backward kernels find
+/// the nonzeros of `A` with a branchless scan. Narrower `A` are
+/// logits-layer deltas: dense, so the branchy skip predicts perfectly and
+/// a scan would be pure overhead.
+const ZERO_SCAN_MIN: usize = 32;
+
 /// `C = A · Bᵀ` for `A (m×k)` and `B (n×k)`.
 ///
 /// This is the hot kernel in a forward pass (`X · Wᵀ` with row-major weight
@@ -140,7 +149,9 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
 /// index order. A single such chain is bound by add latency, so outputs are
 /// computed in register blocks (see `transb_rows`) that keep several
 /// independent chains in flight. Blocks only share loads, so neither the
-/// block shape nor the thread count changes a result.
+/// block shape nor the thread count changes a result. Exact zeros are
+/// multiplied like any other entry (no skip), so the run time does not
+/// depend on sparsity.
 ///
 /// # Panics
 /// Panics on inner-dimension mismatch.
@@ -319,213 +330,18 @@ fn dot_block<L: Lanes, const R: usize, const C: usize>(
     })
 }
 
-/// `dst = srcᵀ`, written into `dst` (resized, capacity reused).
-///
-/// Pure data movement, blocked eight source rows at a time: each pass
-/// streams eight rows in parallel and writes contiguous 8-element runs of
-/// the destination, so the store side vectorises and every destination
-/// cache line is touched once per pass. Leftover rows (< 8) fall back to a
-/// scalar strided copy.
-pub fn transpose_into(src: MatrixView, dst: &mut Matrix) {
-    let (r, c) = src.shape();
-    dst.resize(c, r);
-    let s = src.as_slice();
-    let d = dst.as_mut_slice();
-    let mut i0 = 0;
-    while i0 + 8 <= r {
-        let rows: [&[f32]; 8] = core::array::from_fn(|q| &s[(i0 + q) * c..(i0 + q + 1) * c]);
-        for j in 0..c {
-            let run = &mut d[j * r + i0..j * r + i0 + 8];
-            for (q, o) in run.iter_mut().enumerate() {
-                *o = rows[q][j];
-            }
-        }
-        i0 += 8;
-    }
-    for i in i0..r {
-        let row = &s[i * c..(i + 1) * c];
-        let mut idx = i;
-        for &v in row {
-            d[idx] = v;
-            idx += r;
-        }
-    }
-}
-
-/// One zero-skipping rank-1 row update: `lane += aik * b_row`.
-#[inline]
-fn lane_update(lane: &mut [f32], aik: f32, b_row: &[f32]) {
-    if aik == 0.0 {
-        return;
-    }
-    for (o, &bij) in lane.iter_mut().zip(b_row) {
-        *o += aik * bij;
-    }
-}
-
-/// `C = A · Bᵀ` given the **pre-transposed** operand `bt = Bᵀ` (`k × n`),
-/// bit-identical to [`matmul_transb_into`].
-///
-/// Instead of one serial dot chain per output element, this form streams the
-/// rows of `bt` and accumulates four k-interleaved partial output rows in
-/// `lanes`: lane `l` takes the products with `k ≡ l (mod 4)` — exactly the
-/// accumulator lanes of the dot kernel — then the lanes are combined as
-/// `(l0 + l1) + (l2 + l3)` and the scalar-tail products added in index
-/// order. Every output element therefore sees precisely the same additions
-/// in the same order as `matmul_transb_into`, so results are bit-identical
-/// (asserted by `pret_bit_identical_to_transb`), but the inner loop is a
-/// contiguous multiply-add that vectorises well, and rows of `bt` whose `A`
-/// coefficient is exactly `0.0` are skipped outright. The skip cannot
-/// change results: it removes `±0.0` addends, and a partial that starts at
-/// `+0.0` can never reach `-0.0` (the only value `±0.0` addends perturb) —
-/// the same finite-input argument as the sparsity fast path in
-/// [`matmul_into`]. Sparse inputs — clamped image pixels, post-ReLU
-/// activations — make this kernel proportionally faster.
-///
-/// Runs sequentially by design: it targets small-batch training forwards,
-/// where the row count is a mini-batch and rayon's dispatch overhead rivals
-/// the arithmetic; `lanes` is caller-provided scratch (resized to `4 × n`)
-/// so steady-state calls allocate nothing.
-///
-/// The zero test itself is done as a **branchless index scan**: for each
-/// lane the nonzero `k` positions are first compacted into a small stack
-/// buffer (`count += (x != 0) as usize` — no data-dependent branch), then
-/// replayed unconditionally. Training batches are resampled every step, so
-/// the sparsity pattern the branch predictor sees is fresh noise each call;
-/// a per-element skip branch mispredicts tens of microseconds per gradient
-/// step, which the scan form avoids. Within a lane the compacted indices
-/// stay ascending, and lanes are independent accumulators, so draining them
-/// one lane at a time is still bit-identical.
-///
-/// # Panics
-/// Panics on inner-dimension mismatch.
-pub fn matmul_transb_pret_into(
-    a: MatrixView,
-    bt: MatrixView,
-    lanes: &mut Matrix,
-    out: &mut Matrix,
-) {
-    assert_eq!(
-        a.cols(),
-        bt.rows(),
-        "matmul_transb_pret: inner dims {}x{} vs ({}x{})ᵀ",
-        a.rows(),
-        a.cols(),
-        bt.rows(),
-        bt.cols()
-    );
-    let (m, k) = a.shape();
-    let n = bt.cols();
-    out.resize(m, n);
-    lanes.resize(4, n);
-    let chunks = k / 4;
-    // Flat slices throughout: the inner loop runs once per (row, k) pair,
-    // so even a few nanoseconds of per-k accessor overhead is measurable.
-    let a_flat = a.as_slice();
-    let bt_flat = bt.as_slice();
-    let out_flat = out.as_mut_slice();
-    let lanes_flat = lanes.as_mut_slice();
-    // Nonzero-index buffer for the branchless scan (one lane's worth of a
-    // row). Stack-allocated so the kernel stays allocation-free; fan-ins
-    // beyond 4·NZ_BUF fall back to the branchy per-chunk walk.
-    const NZ_BUF: usize = 1024;
-    let mut nz = [0u32; NZ_BUF];
-    for r in 0..m {
-        let a_row = &a_flat[r * k..(r + 1) * k];
-        lanes_flat.iter_mut().for_each(|v| *v = 0.0);
-        {
-            // Lane `l` accumulates the `k ≡ l (mod 4)` products in
-            // increasing-k order; the lanes are independent partials, so
-            // draining them one at a time reorders nothing within a lane.
-            let (l0, rest) = lanes_flat.split_at_mut(n);
-            let (l1, rest) = rest.split_at_mut(n);
-            let (l2, l3) = rest.split_at_mut(n);
-            if chunks <= NZ_BUF {
-                for (q, lane) in [l0, l1, l2, l3].into_iter().enumerate() {
-                    let mut cnt = 0usize;
-                    let mut kk = q;
-                    while kk < chunks * 4 {
-                        nz[cnt] = kk as u32;
-                        cnt += (a_row[kk] != 0.0) as usize;
-                        kk += 4;
-                    }
-                    for &kk in &nz[..cnt] {
-                        let kk = kk as usize;
-                        let aik = a_row[kk];
-                        let b_row = &bt_flat[kk * n..(kk + 1) * n];
-                        for (o, &bij) in lane.iter_mut().zip(b_row) {
-                            *o += aik * bij;
-                        }
-                    }
-                }
-            } else {
-                let mut base = 0;
-                for _ in 0..chunks {
-                    lane_update(l0, a_row[base], &bt_flat[base * n..(base + 1) * n]);
-                    lane_update(
-                        l1,
-                        a_row[base + 1],
-                        &bt_flat[(base + 1) * n..(base + 2) * n],
-                    );
-                    lane_update(
-                        l2,
-                        a_row[base + 2],
-                        &bt_flat[(base + 2) * n..(base + 3) * n],
-                    );
-                    lane_update(
-                        l3,
-                        a_row[base + 3],
-                        &bt_flat[(base + 3) * n..(base + 4) * n],
-                    );
-                    base += 4;
-                }
-            }
-        }
-        let out_row = &mut out_flat[r * n..(r + 1) * n];
-        {
-            let (l0, rest) = lanes_flat.split_at(n);
-            let (l1, rest) = rest.split_at(n);
-            let (l2, l3) = rest.split_at(n);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o = (l0[j] + l1[j]) + (l2[j] + l3[j]);
-            }
-        }
-        for kk in chunks * 4..k {
-            let aik = a_row[kk];
-            if aik == 0.0 {
-                continue;
-            }
-            for (o, &bij) in out_row.iter_mut().zip(&bt_flat[kk * n..(kk + 1) * n]) {
-                *o += aik * bij;
-            }
-        }
-    }
-}
-
-/// Minimum output width (`B` rows) at which [`matmul_transb_fwd_into`]
-/// takes the pre-transposed forward kernel. Set against the old single-chain
-/// dot form (crossover ≈ 30 columns on x86-64). Against the register-blocked
-/// [`matmul_transb_into`], pret only wins on sparse inputs (DESIGN.md §7b).
-pub const PRET_MIN_COLS: usize = 32;
-
-/// Linear-layer forward `C = A · Bᵀ` that picks a kernel by shape: the
-/// pre-transposed streaming kernel for wide outputs (staging `Bᵀ` in `wt`),
-/// the register-blocked [`matmul_transb_into`] for narrow ones.
-/// Results are bit-identical either way, so the choice is purely a
-/// performance dispatch.
+/// `C = A · Bᵀ`: forwards to [`matmul_transb_into`]. Both scratch
+/// arguments are unused. This exists only for the benchmark's kernel
+/// probe, which calls it by this name; it is deleted in the next change to
+/// the benchmark.
 pub fn matmul_transb_fwd_into(
     a: MatrixView,
     b: MatrixView,
-    wt: &mut Matrix,
-    lanes: &mut Matrix,
+    _wt: &mut Matrix,
+    _lanes: &mut Matrix,
     out: &mut Matrix,
 ) {
-    if b.rows() >= PRET_MIN_COLS {
-        transpose_into(b, wt);
-        matmul_transb_pret_into(a, wt.view(), lanes, out);
-    } else {
-        matmul_transb_into(a, b, out);
-    }
+    matmul_transb_into(a, b, out);
 }
 
 /// `C = Aᵀ · B` for `A (k×m)` and `B (k×n)`.
@@ -585,14 +401,12 @@ pub fn matmul_transa_slice(a: MatrixView, b: MatrixView, out: &mut [f32]) {
     };
     if go_parallel(work, m) {
         out.par_chunks_mut(n).enumerate().for_each(body);
-    } else if (PRET_MIN_COLS..=NZ_BUF).contains(&m) {
+    } else if (ZERO_SCAN_MIN..=NZ_BUF).contains(&m) {
         // Sequential wide-shape path with the batch dimension outermost:
         // each `A` row (a training delta) is scanned for nonzeros once,
         // branchlessly, instead of being probed once per output row. Every
         // output element still receives its addends in ascending batch-row
-        // order, so the result is bit-identical to the branchy loop. Narrow
-        // `A` (logits-layer deltas) stays on the branchy loop — dense, so
-        // the skip branch predicts perfectly and a scan is pure overhead.
+        // order, so the result is bit-identical to the branchy loop.
         let a_flat = a.as_slice();
         let b_flat = b.as_slice();
         let mut nz = [0u32; NZ_BUF];
@@ -778,88 +592,6 @@ mod tests {
         assert!(c.max_abs_diff(&r) < 1e-4, "diff {}", c.max_abs_diff(&r));
     }
 
-    /// Sparse variant of `mat`: roughly `num/den` of entries forced to
-    /// exactly `0.0` (and a few to `-0.0`), the regime the pre-transposed
-    /// kernel's skip path targets.
-    fn sparse_mat(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut m = mat(rows, cols, seed);
-        let mut s = seed.wrapping_mul(0xD1B54A32D192ED03).wrapping_add(3);
-        for v in m.as_mut_slice() {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            match s % 5 {
-                0 | 1 => *v = 0.0,
-                2 => *v = -0.0,
-                _ => {}
-            }
-        }
-        m
-    }
-
-    #[test]
-    fn transpose_into_roundtrip() {
-        let a = mat(5, 9, 21);
-        let mut t = Matrix::zeros(0, 0);
-        transpose_into(a.view(), &mut t);
-        assert_eq!(t.shape(), (9, 5));
-        for i in 0..5 {
-            for j in 0..9 {
-                assert_eq!(t[(j, i)], a[(i, j)]);
-            }
-        }
-        // Round trip through a second transpose restores the original, and
-        // a tile-crossing shape exercises the blocked path.
-        let big = mat(37, 50, 22);
-        let mut bt = Matrix::zeros(0, 0);
-        let mut back = Matrix::zeros(0, 0);
-        transpose_into(big.view(), &mut bt);
-        transpose_into(bt.view(), &mut back);
-        assert_eq!(big.as_slice(), back.as_slice());
-    }
-
-    #[test]
-    fn pret_bit_identical_to_transb() {
-        // The pre-transposed forward kernel must reproduce the dot-form
-        // kernel bit for bit: dense and sparse (±0.0) inputs, inner dims
-        // covering every k % 4 tail, including k < 4.
-        let mut bt = Matrix::zeros(0, 0);
-        let mut lanes = Matrix::zeros(0, 0);
-        let mut got = Matrix::zeros(0, 0);
-        let mut want = Matrix::zeros(0, 0);
-        for (m, k, n) in [
-            (4usize, 16usize, 10usize),
-            (3, 17, 5),
-            (5, 18, 7),
-            (2, 19, 3),
-            (1, 3, 4),
-            (16, 256, 100),
-        ] {
-            for (seed, sparse) in [(31, false), (32, true), (33, true)] {
-                let a = if sparse {
-                    sparse_mat(m, k, seed)
-                } else {
-                    mat(m, k, seed)
-                };
-                let b = if sparse {
-                    sparse_mat(n, k, seed + 100)
-                } else {
-                    mat(n, k, seed + 100)
-                };
-                matmul_transb_into(a.view(), b.view(), &mut want);
-                transpose_into(b.view(), &mut bt);
-                matmul_transb_pret_into(a.view(), bt.view(), &mut lanes, &mut got);
-                assert_eq!(got.shape(), want.shape());
-                let same = got
-                    .as_slice()
-                    .iter()
-                    .zip(want.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-                assert!(same, "bit mismatch at m={m} k={k} n={n} sparse={sparse}");
-            }
-        }
-    }
-
     /// Per-element scalar reference for `matmul_transb_into`: four lanes over
     /// `k ≡ l (mod 4)` in ascending `k`, folded `(l0 + l1) + (l2 + l3)`, then
     /// the `k % 4` tail in index order.
@@ -906,9 +638,26 @@ mod tests {
         m
     }
 
+    /// `mat` with about `pct` % of entries exactly zero, a quarter of those
+    /// `-0.0`: the fig4 forward's inputs (≈ 30 % zero pixels) and hidden
+    /// activations (≈ 55 % zero after ReLU).
+    fn sparse_mat(rows: usize, cols: usize, seed: u64, pct: u64) -> Matrix {
+        let mut m = mat(rows, cols, seed);
+        let mut s = seed.wrapping_mul(0xD1B54A32D192ED03).wrapping_add(7);
+        for v in m.as_mut_slice() {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            if s % 100 < pct {
+                *v = if s >> 62 == 0 { -0.0 } else { 0.0 };
+            }
+        }
+        m
+    }
+
     /// Operand pairs for one `m × k · (n × k)ᵀ` shape: dense, special
-    /// values without and with infinities, and a scaled `A` whose products
-    /// and sums are subnormal.
+    /// values without and with infinities, a scaled `A` whose products
+    /// and sums are subnormal, and `A` with 30 % and 55 % zeros.
     fn transb_operands(m: usize, k: usize, n: usize, seed: u64) -> Vec<(Matrix, Matrix)> {
         let tiny = mat(m, k, seed + 3).map(|x| x * 1e-38);
         vec![
@@ -922,22 +671,37 @@ mod tests {
                 special_mat(n, k, seed + 3, true),
             ),
             (tiny, mat(n, k, seed + 4)),
+            (sparse_mat(m, k, seed + 5, 30), mat(n, k, seed + 6)),
+            (sparse_mat(m, k, seed + 7, 55), mat(n, k, seed + 8)),
         ]
+    }
+
+    /// Number of [`wide_shape`]s.
+    const WIDE_SHAPES: usize = 36;
+
+    /// The fig4 forward shapes `(m, k, n)` (batch rows, fan-in, fan-out)
+    /// for `i < WIDE_SHAPES`: m ∈ {1, 4, 8, 16}, k ∈ {50, 100, 256},
+    /// n ∈ {32, 50, 100}.
+    fn wide_shape(i: usize) -> (usize, usize, usize) {
+        (
+            [1, 4, 8, 16][i % 4],
+            [50, 100, 256][i / 4 % 3],
+            [32, 50, 100][i / 12],
+        )
     }
 
     #[test]
     fn transb_bit_identical_to_scalar_reference() {
         let mut out = Matrix::zeros(0, 0);
-        for k in (0..=11).chain([255, 256, 257]) {
-            for m in 0..=9 {
-                for n in 0..=13 {
-                    for (a, b) in transb_operands(m, k, n, (m * 131 + n * 17 + k) as u64) {
-                        let want = Matrix::from_fn(m, n, |r, j| ref_dot(a.row(r), b.row(j)));
-                        matmul_transb_into(a.view(), b.view(), &mut out);
-                        assert_eq!(out.shape(), (m, n));
-                        assert_same_bits(out.as_slice(), want.as_slice(), &format!("{m}x{k}x{n}"));
-                    }
-                }
+        let narrow = (0..=11)
+            .chain([255, 256, 257])
+            .flat_map(|k| (0..=9).flat_map(move |m| (0..=13).map(move |n| (m, k, n))));
+        for (m, k, n) in narrow.chain((0..WIDE_SHAPES).map(wide_shape)) {
+            for (a, b) in transb_operands(m, k, n, (m * 131 + n * 17 + k) as u64) {
+                let want = Matrix::from_fn(m, n, |r, j| ref_dot(a.row(r), b.row(j)));
+                matmul_transb_into(a.view(), b.view(), &mut out);
+                assert_eq!(out.shape(), (m, n));
+                assert_same_bits(out.as_slice(), want.as_slice(), &format!("{m}x{k}x{n}"));
             }
         }
     }
@@ -1119,17 +883,20 @@ mod tests {
         #[test]
         fn prop_transb_bit_identical_to_scalar_reference(
             m in 0usize..20, k in 0usize..70, n in 0usize..20, seed in 0u64..1000,
+            wide in 0usize..WIDE_SHAPES,
         ) {
             let mut out = Matrix::zeros(0, 0);
-            for (a, b) in transb_operands(m, k, n, seed) {
-                matmul_transb_into(a.view(), b.view(), &mut out);
-                for r in 0..m {
-                    for j in 0..n {
-                        let (x, y) = (out[(r, j)], ref_dot(a.row(r), b.row(j)));
-                        prop_assert!(
-                            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
-                            "({}, {}) of {}x{}x{}: {:e} vs {:e}", r, j, m, k, n, x, y
-                        );
+            for (m, k, n) in [(m, k, n), wide_shape(wide)] {
+                for (a, b) in transb_operands(m, k, n, seed) {
+                    matmul_transb_into(a.view(), b.view(), &mut out);
+                    for r in 0..m {
+                        for j in 0..n {
+                            let (x, y) = (out[(r, j)], ref_dot(a.row(r), b.row(j)));
+                            prop_assert!(
+                                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                                "({}, {}) of {}x{}x{}: {:e} vs {:e}", r, j, m, k, n, x, y
+                            );
+                        }
                     }
                 }
             }

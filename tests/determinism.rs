@@ -222,6 +222,52 @@ fn workspace_grad_is_bit_identical_to_legacy_path() {
     }
 }
 
+#[test]
+fn fig4_mlp_bits_are_pinned() {
+    // The fig4 network (256→100→50→10) on fixed data: loss and gradient
+    // bits are pinned, so a forward or backward kernel change that moves
+    // any bit at these widths fails here. Inputs are clamped like image
+    // pixels (≈30 % zeros, some of them -0.0); the ReLU'd hidden layers
+    // add their own zeros.
+    use hierminimax::data::rng::{Purpose, StreamKey};
+    use hierminimax::data::{Dataset, StreamRng};
+    use hierminimax::nn::{Mlp, Model, Workspace};
+    use hierminimax::tensor::Matrix;
+
+    fn batch_of(n: usize, seed: u64) -> Dataset {
+        let mut rng = StreamRng::for_key(StreamKey::new(seed, Purpose::Misc, n as u64, 0));
+        let x = Matrix::from_fn(n, 256, |_, _| {
+            let v = (rng.normal() * 0.6 + 0.3) as f32;
+            match (v > 0.0, rng.below(4)) {
+                (true, _) => v,
+                (false, 0) => -0.0,
+                (false, _) => 0.0,
+            }
+        });
+        let y = (0..n).map(|_| rng.below(10)).collect();
+        Dataset::new(x, y, 10)
+    }
+
+    /// 64-bit FNV-1a over the gradient's `to_bits`, little-endian.
+    fn fnv1a(grad: &[f32]) -> u64 {
+        grad.iter()
+            .flat_map(|g| g.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    let mlp = Mlp::new(256, &[100, 50], 10);
+    let params = mlp.init_params(&mut StreamRng::new(2024, Purpose::Init, 0, 0));
+    let mut grad = vec![0.0_f32; mlp.num_params()];
+    let loss = mlp.loss_grad_ws(&params, &batch_of(8, 5), &mut grad, &mut Workspace::new());
+    let got = (loss.to_bits(), fnv1a(&grad));
+    let want = (0x4001_44fd_dc00_0000, 0xd9fe_1cd1_fc52_0c0d);
+    assert_eq!(got, want, "loss_grad_ws at batch 8: loss {loss:e}");
+    let loss16 = mlp.loss(&params, &batch_of(16, 6)).to_bits();
+    assert_eq!(loss16, 0x4003_0b43_0600_0000, "loss at batch 16");
+}
+
 /// The four hierarchical algorithms (the ones with a `τ2`-block structure,
 /// i.e. the ones the round engine applies to), parameterised by
 /// parallelism and fault plan.
